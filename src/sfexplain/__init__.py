@@ -9,10 +9,8 @@ from .analyst import (
     AnalystModel,
     CertaintyCurve,
     ThresholdDistribution,
-    censored_expected_mfp,
     certainty_curve,
     expected_mfp,
-    mfp,
 )
 from .dataset import (
     BenchmarkSpec,
@@ -44,7 +42,6 @@ from .evaluate import (
     EvaluationReport,
     explain_opt_oracle,
     make_detector,
-    opt_oracle_mfp,
     run_evaluation,
     select_evaluation_anomalies,
 )

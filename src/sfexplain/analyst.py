@@ -5,6 +5,7 @@ features?" by training one discriminative forest per feature subset, on
 demand, with an at-most-once cache. Revealing an explanation's features one
 at a time yields a certainty curve; the minimum feature prefix is how many
 features must be revealed before certainty drops to a detection threshold.
+``expected_mfp`` is the one place that rule is defined.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ __all__ = [
     "ThresholdDistribution",
     "SingleClassTrainingData",
     "certainty_curve",
-    "mfp",
     "expected_mfp",
-    "censored_expected_mfp",
 ]
 
 logger = logging.getLogger(__name__)
@@ -144,8 +143,10 @@ class AnalystModel:
         if self.cache_dir is not None:
             path = self._cache_path(key)
             if path.exists():
-                self.loaded_count += 1
-                return BaggedForest.load(path)
+                forest = BaggedForest.load(path)
+                with self._lock:
+                    self.loaded_count += 1
+                return forest
         forest_seed = int(
             np.random.SeedSequence([self.seed, *key]).generate_state(1, dtype=np.uint64)[0]
         )
@@ -155,7 +156,8 @@ class AnalystModel:
             self.forest_config,
             seed=forest_seed,
         )
-        self.trained_count += 1
+        with self._lock:
+            self.trained_count += 1
         if self.cache_dir is not None:
             forest.save(self._cache_path(key))
         return forest
@@ -209,45 +211,25 @@ def certainty_curve(
     return CertaintyCurve(values=tuple(values))
 
 
-def mfp(curve: CertaintyCurve, tau: float) -> int | None:
-    """Smallest number of revealed features with certainty <= tau.
-
-    Returns None when the curve never reaches the threshold (no detection
-    within the explanation).
-    """
-    if not 0.0 <= tau <= 0.5:
-        raise ValueError(f"tau must lie in [0, 0.5], got {tau}")
-    for i, value in enumerate(curve.values, start=1):
-        if value <= tau:
-            return i
-    return None
-
-
-def expected_mfp(curve: CertaintyCurve, dist: ThresholdDistribution) -> float | None:
-    """Threshold-averaged MFP; None if any supported threshold goes undetected."""
-    total = 0.0
-    for tau, prob in dist.support:
-        m = mfp(curve, tau)
-        if m is None:
-            return None
-        total += prob * m
-    return total
-
-
-def censored_expected_mfp(
-    curve: CertaintyCurve, dist: ThresholdDistribution
+def expected_mfp(
+    values: Sequence[float], dist: ThresholdDistribution, strict: bool = False
 ) -> tuple[float, bool]:
-    """Expected MFP with undetected thresholds censored at curve length + 1.
+    """Threshold-averaged minimum feature prefix of a certainty sequence.
 
-    Returns the aggregation-ready value and whether any threshold was
-    censored.
+    For each threshold tau, the MFP is the first 1-based position whose
+    certainty is <= tau, or < tau when strict. Explanation curves use the
+    inclusive rule; the exhaustive baseline's per-size best probabilities
+    use the strict one. A threshold the sequence never reaches is censored
+    at len(values) + 1. Returns the probability-weighted MFP and whether
+    any threshold was censored.
     """
     total = 0.0
     censored = False
     for tau, prob in dist.support:
-        m = mfp(curve, tau)
+        detected = (i for i, v in enumerate(values, start=1) if (v < tau if strict else v <= tau))
+        m = next(detected, None)
         if m is None:
-            m = len(curve) + 1
+            m = len(values) + 1
             censored = True
         total += prob * m
     return total, censored

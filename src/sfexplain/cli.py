@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,20 +34,11 @@ from .evaluate import (
     write_per_point_csv,
     write_summary_csv,
 )
-from .explain import (
-    Method,
-    explain_ind_do,
-    explain_ind_marg,
-    explain_random,
-    explain_seq_do,
-    explain_seq_marg,
-)
+from .explain import DENSITY_METHODS, Method, density_explainers, explain_random
 from .forest import ForestConfig
-from .seeding import TAG_RANDOM_SFE, derive_seed
+from .seeding import TAG_EGMM, TAG_RANDOM_SFE, derive_seed
 
 logger = logging.getLogger(__name__)
-
-EXPLAIN_METHODS = ("indmarg", "seqmarg", "inddo", "seqdo", "random")
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ def cmd_fit(args) -> int:
     egmm_config = config.egmm or EgmmConfig()
     if args.seed is not None or config.egmm is None:
         egmm_config = EgmmConfig.from_dict({**egmm_config.to_dict(), "seed": config.seed})
-    model = egmm_fit(dataset.points, egmm_config, workers=args.threads)
+    model = egmm_fit(dataset.points, egmm_config)
     trained = egmm_config.members_per_k * len(egmm_config.component_counts)
     save_egmm(model, args.model_out)
     print(f"retained {len(model.members)} of {trained} members")
@@ -115,21 +105,16 @@ def cmd_explain(args) -> int:
         ranking = rank_points(model, dataset)
         indices = select_evaluation_anomalies(ranking.tolist(), dataset.labels, args.top_fraction)
 
+    method = Method(args.method)
+    explainers = density_explainers()
     rows = []
     for idx in indices:
-        x = dataset.points[idx]
-        if args.method == "indmarg":
-            sfe = explain_ind_marg(model, x, k)
-        elif args.method == "seqmarg":
-            sfe = explain_seq_marg(model, x, k)
-        elif args.method == "inddo":
-            sfe = explain_ind_do(model, x, k)
-        elif args.method == "seqdo":
-            sfe = explain_seq_do(model, x, k)
-        else:
+        if method is Method.RANDOM:
             sfe = explain_random(
                 dataset.n_features, k, seed=derive_seed(config.seed, TAG_RANDOM_SFE, idx, 0)
             )
+        else:
+            sfe = explainers[method](model, dataset.points[idx], k)
         rows.append(sfe.csv_row(idx))
 
     with open(args.out, "w", newline="") as fh:
@@ -152,6 +137,11 @@ def cmd_evaluate(args) -> int:
         overrides["detector_mode"] = DetectorMode.ORACLE.value
     eval_config = EvalConfig.from_dict(overrides)
 
+    egmm_config = config.egmm
+    if args.seed is not None and egmm_config is not None:
+        egmm_seed = derive_seed(config.seed, TAG_EGMM)
+        egmm_config = EgmmConfig.from_dict({**egmm_config.to_dict(), "seed": egmm_seed})
+
     analyst_data = None
     if args.analyst_csv:
         analyst_data = load_csv(args.analyst_csv, args.label_column, set(args.anomaly_value))
@@ -159,10 +149,9 @@ def cmd_evaluate(args) -> int:
     report = run_evaluation(
         dataset,
         eval_config,
-        egmm_config=config.egmm,
+        egmm_config=egmm_config,
         forest_config=config.forest,
         analyst_data=analyst_data,
-        workers=args.threads,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_labels=True):
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--seed", type=int, default=None, help="top-level seed (overrides config)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads for ensemble training",
-        )
         if with_labels:
             p.add_argument("--label-column", default="label", help="name of the label column")
             p.add_argument(
@@ -229,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="explain top-ranked anomalies with one method")
     p_explain.add_argument("model", help="fitted model file")
     p_explain.add_argument("csv", help="dataset CSV to explain")
-    p_explain.add_argument("--method", required=True, choices=EXPLAIN_METHODS)
+    p_explain.add_argument(
+        "--method", required=True, choices=[m.value for m in (*DENSITY_METHODS, Method.RANDOM)]
+    )
     p_explain.add_argument("--k", type=int, default=None, help="explanation length (default: n)")
     p_explain.add_argument("-o", "--out", required=True, help="output CSV of explanations")
     p_explain.add_argument(

@@ -41,7 +41,7 @@ MODEL_VERSION = 1
 
 
 class DegenerateCluster(SfexplainError):
-    """EM collapsed a component below the covariance floor, even after retries."""
+    """EM collapsed a component or lost monotonicity, even after retries."""
 
 
 class _DegenerateFit(Exception):
@@ -358,9 +358,8 @@ def _em_once(
             raise _DegenerateFit(str(exc)) from None
         norms = logsumexp(joint, axis=1)
         ll = float(norms.sum())
-        assert not log_likelihoods or ll >= log_likelihoods[-1] - 1e-9 * max(
-            1.0, abs(log_likelihoods[-1])
-        ), "EM step decreased the log-likelihood"
+        if log_likelihoods and ll < log_likelihoods[-1] - 1e-9 * max(1.0, abs(log_likelihoods[-1])):
+            raise _DegenerateFit("EM step decreased the log-likelihood")
         log_likelihoods.append(ll)
         if ll - prev_ll < tol * max(abs(prev_ll), 1e-12) and np.isfinite(prev_ll):
             break
@@ -395,8 +394,10 @@ def fit_gmm(
 
     Initialization is k-means++ plus a short Lloyd refinement. A ridge
     proportional to the mean feature variance is added to every covariance
-    each M-step. A collapsed fit is retried with a fresh derived seed up to
-    3 times before DegenerateCluster is raised.
+    each M-step. A fit that collapses a component, or whose log-likelihood
+    decreases (a near-singular component breaks EM's guarantee), is retried
+    with a fresh derived seed up to 3 times before DegenerateCluster is
+    raised.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:

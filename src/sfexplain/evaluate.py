@@ -17,31 +17,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analyst import (
-    AnalystModel,
-    CertaintyCurve,
-    ThresholdDistribution,
-    censored_expected_mfp,
-    certainty_curve,
-)
+from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
 from .dataset import Dataset
 from .density import EgmmConfig, EgmmModel, egmm_fit, rank_points
 from .errors import SfexplainError
-from .explain import (
-    DENSITY_METHODS,
-    DensityOracle,
-    Method,
-    Sfe,
-    explain_ind_do,
-    explain_ind_marg,
-    explain_random,
-    explain_seq_do,
-    explain_seq_marg,
-)
+from .explain import DENSITY_METHODS, DensityOracle, Method, density_explainers, explain_random
 from .forest import ForestConfig
 from .seeding import TAG_ANALYST, TAG_EGMM, TAG_RANDOM_SFE, derive_seed
 
@@ -217,24 +201,6 @@ def explain_opt_oracle(analyst: AnalystModel, x: np.ndarray, max_size: int) -> O
     return OptOracleResult(steps=tuple(steps))
 
 
-def opt_oracle_mfp(result: OptOracleResult, dist: ThresholdDistribution) -> tuple[float, bool]:
-    """Expected MFP for the exhaustive baseline.
-
-    Detection at size i requires the best probability to fall strictly below
-    the threshold; undetected thresholds are censored at max size + 1.
-    """
-    probs = result.best_probs
-    total = 0.0
-    censored = False
-    for tau, prob in dist.support:
-        m = next((i for i, p in enumerate(probs, start=1) if p < tau), None)
-        if m is None:
-            m = len(probs) + 1
-            censored = True
-        total += prob * m
-    return total, censored
-
-
 class AnalystDensityOracle:
     """Adapter exposing the analyst's log P(normal | x_S) as a density oracle."""
 
@@ -282,7 +248,6 @@ def run_evaluation(
     analyst_data: Dataset | None = None,
     egmm: EgmmModel | None = None,
     analyst: AnalystModel | None = None,
-    workers: int = 1,
 ) -> EvaluationReport:
     """Run the full protocol on one benchmark dataset.
 
@@ -292,6 +257,12 @@ def run_evaluation(
     the evaluated anomalies, so a warning is logged. A prebuilt analyst may
     be passed instead to share its classifier cache across benchmarks drawn
     from one mother set.
+
+    Every method yields certainty curves for each anomaly: one for a density
+    method, random_repeats for random, and the per-size best probabilities
+    for optoracle (scored with the strict threshold). A row's MFP is the mean
+    of its curves' expected MFPs, censored if any curve was, and its curve is
+    the mean curve.
     """
     if dataset.n_anomalies < 1:
         raise ValueError("evaluation needs at least one anomaly in the dataset")
@@ -300,7 +271,7 @@ def run_evaluation(
 
     if egmm is None:
         egmm_config = egmm_config or EgmmConfig(seed=derive_seed(config.seed, TAG_EGMM))
-        egmm = egmm_fit(dataset.points, egmm_config, workers=workers)
+        egmm = egmm_fit(dataset.points, egmm_config)
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
 
@@ -322,12 +293,7 @@ def run_evaluation(
     detector = make_detector(config.detector_mode, egmm=egmm, analyst=analyst)
     opt_k = min(k, OPT_ORACLE_SIZE_CAP)
 
-    explainers = {
-        Method.IND_MARG: explain_ind_marg,
-        Method.SEQ_MARG: explain_seq_marg,
-        Method.IND_DO: explain_ind_do,
-        Method.SEQ_DO: explain_seq_do,
-    }
+    explainers = density_explainers()
 
     per_point: list[PointResult] = []
     values: dict[Method, list[float]] = {m: [] for m in METHOD_ORDER if m in config.methods}
@@ -336,28 +302,24 @@ def run_evaluation(
     for idx in selected:
         x = dataset.points[idx]
         for method in values:
-            if method in explainers:
-                sfe = explainers[method](detector, x, k)
-                curve = certainty_curve(analyst, x, sfe)
-                value, censored = censored_expected_mfp(curve, config.thresholds)
-                curve_values = curve.values
+            if method is Method.OPT_ORACLE:
+                curves = [explain_opt_oracle(analyst, x, opt_k).best_probs]
             elif method is Method.RANDOM:
-                repeat_values = []
-                repeat_curves = []
-                censored = False
-                for r in range(config.random_repeats):
-                    sfe = explain_random(n, k, seed=derive_seed(config.seed, TAG_RANDOM_SFE, idx, r))
-                    curve = certainty_curve(analyst, x, sfe)
-                    v, c = censored_expected_mfp(curve, config.thresholds)
-                    repeat_values.append(v)
-                    repeat_curves.append(curve.values)
-                    censored = censored or c
-                value = float(np.mean(repeat_values))
-                curve_values = tuple(np.mean(repeat_curves, axis=0).tolist())
-            else:  # OptOracle
-                result = explain_opt_oracle(analyst, x, opt_k)
-                value, censored = opt_oracle_mfp(result, config.thresholds)
-                curve_values = result.best_probs
+                curves = [
+                    certainty_curve(
+                        analyst,
+                        x,
+                        explain_random(n, k, seed=derive_seed(config.seed, TAG_RANDOM_SFE, idx, r)),
+                    ).values
+                    for r in range(config.random_repeats)
+                ]
+            else:
+                curves = [certainty_curve(analyst, x, explainers[method](detector, x, k)).values]
+            strict = method is Method.OPT_ORACLE
+            scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
+            value = float(np.mean([v for v, _ in scored]))
+            censored = any(c for _, c in scored)
+            curve_values = tuple(np.mean(curves, axis=0).tolist())
             values[method].append(value)
             flags[method].append(censored)
             per_point.append(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class Method(str, Enum):
     SEQ_DO = "seqdo"
     RANDOM = "random"
     OPT_ORACLE = "optoracle"
-
-
-# Methods computable from a density oracle, in canonical reporting order.
-DENSITY_METHODS = (Method.IND_MARG, Method.SEQ_MARG, Method.IND_DO, Method.SEQ_DO)
 
 
 class DensityOracle(Protocol):
@@ -184,3 +180,21 @@ def explain_random(n: int, k: int | None = None, seed: int = 0) -> Sfe:
     k = _check_length(n, k)
     order = np.random.default_rng(seed).permutation(n)[:k]
     return Sfe(order=tuple(int(j) for j in order), step_scores=(0.0,) * k, method=Method.RANDOM)
+
+
+def density_explainers() -> dict[Method, Callable[..., Sfe]]:
+    """Each method computable from a density oracle, in canonical reporting
+    order, mapped to its explainer ``(f, x, k) -> Sfe``.
+
+    The table is built on every call from the module-level names, so a
+    wrapper installed on one of them (a profiler, say) sees every call.
+    """
+    return {
+        Method.IND_MARG: explain_ind_marg,
+        Method.SEQ_MARG: explain_seq_marg,
+        Method.IND_DO: explain_ind_do,
+        Method.SEQ_DO: explain_seq_do,
+    }
+
+
+DENSITY_METHODS = tuple(density_explainers())

@@ -172,13 +172,9 @@ class BaggedForest:
     leaf probabilities across trees.
     """
 
-    def __init__(self, trees: list[_Tree], n_features: int, inbag: list[np.ndarray] | None = None,
-                 train_X: np.ndarray | None = None, train_y: np.ndarray | None = None):
+    def __init__(self, trees: list[_Tree], n_features: int):
         self.trees = trees
         self.n_features = n_features
-        self._inbag = inbag
-        self._train_X = train_X
-        self._train_y = train_y
 
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int | None = None) -> "BaggedForest":
@@ -206,7 +202,6 @@ class BaggedForest:
         m_features = min(d, max(1, math.ceil(math.sqrt(d))))
 
         trees: list[_Tree] = []
-        inbag: list[np.ndarray] = []
         for t in range(config.tree_count):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
             rows = np.concatenate(
@@ -218,8 +213,7 @@ class BaggedForest:
             tree = _Tree()
             _grow(tree, X, y, rows, 0, config.max_depth, config.min_leaf, m_features, rng)
             trees.append(tree)
-            inbag.append(np.unique(rows))
-        return cls(trees, d, inbag=inbag, train_X=X, train_y=y)
+        return cls(trees, d)
 
     def prob_normal(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -230,28 +224,6 @@ class BaggedForest:
     def prob_normal_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return np.array([self.prob_normal(row) for row in X])
-
-    def oob_accuracy(self) -> float:
-        """Majority-vote accuracy over rows left out of each tree's bootstrap.
-
-        Available only on freshly fitted forests (not ones loaded from disk).
-        """
-        if self._inbag is None or self._train_X is None or self._train_y is None:
-            raise ValueError("out-of-bag accuracy needs the training data; refit the forest")
-        n = len(self._train_y)
-        votes = np.zeros(n)
-        counts = np.zeros(n, dtype=int)
-        for tree, bag in zip(self.trees, self._inbag):
-            oob = np.ones(n, dtype=bool)
-            oob[bag] = False
-            for i in np.flatnonzero(oob):
-                votes[i] += tree.prob_normal(self._train_X[i])
-                counts[i] += 1
-        seen = counts > 0
-        if not seen.any():
-            raise ValueError("no row was ever out of bag")
-        predicted_anomaly = (votes[seen] / counts[seen]) < 0.5
-        return float(np.mean(predicted_anomaly == self._train_y[seen]))
 
     # -- serialization ------------------------------------------------------
 

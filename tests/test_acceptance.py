@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_deviant_dataset, trapezoid_marginal
-from sfexplain.analyst import AnalystModel, ThresholdDistribution, certainty_curve, mfp
+from sfexplain.analyst import AnalystModel, ThresholdDistribution, certainty_curve
 from sfexplain.cli import main as cli_main
 from sfexplain.dataset import BenchmarkSpec, Dataset, MotherSet, sample_benchmark, save_csv
 from sfexplain.density import (

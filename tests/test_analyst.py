@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -8,16 +9,26 @@ from sfexplain.analyst import (
     AnalystModel,
     CertaintyCurve,
     ThresholdDistribution,
-    censored_expected_mfp,
     certainty_curve,
     expected_mfp,
-    mfp,
 )
 from sfexplain.dataset import Dataset
 from sfexplain.explain import Method, Sfe
 from sfexplain.forest import ForestConfig, SingleClassTrainingData
 
 UNIFORM = ThresholdDistribution.uniform()
+
+
+def mfp(curve, tau):
+    """Single-threshold MFP of a curve, or None when it is never detected."""
+    value, censored = expected_mfp(curve.values, ThresholdDistribution(support=((tau, 1.0),)))
+    return None if censored else int(value)
+
+
+def uncensored_expected_mfp(curve, dist):
+    """Expected MFP of a curve, or None if any threshold goes undetected."""
+    value, censored = expected_mfp(curve.values, dist)
+    return None if censored else value
 
 
 def small_analyst(seed=0, **kwargs):
@@ -55,25 +66,40 @@ class TestCache:
         assert a is b
         assert analyst.trained_count == 1
 
-    def test_concurrent_requests_train_once_per_subset(self):
-        analyst = small_analyst()
+    def test_concurrent_requests_train_once_per_subset(self, tmp_path):
         subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
         errors = []
 
-        def worker():
-            try:
-                for s in subsets:
-                    analyst.classifier_for(s)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
+        def hammer(analyst):
+            def worker():
+                try:
+                    for s in subsets:
+                        analyst.classifier_for(s)
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert analyst.trained_count == len(subsets)
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors
+            assert analyst.cache_hits == 7 * len(subsets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose lost updates
+        try:
+            analyst = small_analyst(cache_dir=tmp_path)
+            hammer(analyst)
+            assert (analyst.trained_count, analyst.loaded_count) == (len(subsets), 0)
+
+            # A second analyst on the same disk cache loads each subset once.
+            reader = small_analyst(cache_dir=tmp_path)
+            hammer(reader)
+            assert (reader.trained_count, reader.loaded_count) == (0, len(subsets))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_single_class_training_data_rejected(self):
         rng = np.random.default_rng(0)
@@ -189,19 +215,19 @@ class TestMfp:
 class TestExpectedMfp:
     def test_uniform_average(self):
         curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
-        assert expected_mfp(curve, UNIFORM) == pytest.approx((3 + 3 + 2) / 3)
+        assert uncensored_expected_mfp(curve, UNIFORM) == pytest.approx((3 + 3 + 2) / 3)
 
     def test_immediate_detection(self):
-        assert expected_mfp(CertaintyCurve(values=(0.05,)), UNIFORM) == pytest.approx(1.0)
+        assert uncensored_expected_mfp(CertaintyCurve(values=(0.05,)), UNIFORM) == pytest.approx(1.0)
 
     def test_degenerate_distribution(self):
         curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
         point_mass = ThresholdDistribution(support=((0.3, 1.0),))
-        assert expected_mfp(curve, point_mass) == mfp(curve, 0.3)
+        assert uncensored_expected_mfp(curve, point_mass) == 2
 
     def test_any_undetected_threshold_gives_none(self):
         curve = CertaintyCurve(values=(0.6, 0.25, 0.15))
-        assert expected_mfp(curve, UNIFORM) is None
+        assert uncensored_expected_mfp(curve, UNIFORM) is None
 
     def test_lies_between_per_tau_extremes(self):
         rng = np.random.default_rng(9)
@@ -210,19 +236,19 @@ class TestExpectedMfp:
             per_tau = [mfp(curve, t) for t, _ in UNIFORM.support]
             if any(m is None for m in per_tau):
                 continue
-            value = expected_mfp(curve, UNIFORM)
+            value = uncensored_expected_mfp(curve, UNIFORM)
             assert min(per_tau) <= value <= max(per_tau)
 
 
 class TestCensoredExpectedMfp:
     def test_censors_at_curve_length_plus_one(self):
         curve = CertaintyCurve(values=(0.6, 0.25, 0.15))
-        value, censored = censored_expected_mfp(curve, UNIFORM)
+        value, censored = expected_mfp(curve.values, UNIFORM)
         assert censored
         assert value == pytest.approx((4 + 3 + 2) / 3)
 
     def test_uncensored_matches_expected_mfp(self):
         curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
-        value, censored = censored_expected_mfp(curve, UNIFORM)
+        value, censored = expected_mfp(curve.values, UNIFORM)
         assert not censored
-        assert value == expected_mfp(curve, UNIFORM)
+        assert value == sum(p * mfp(curve, t) for t, p in UNIFORM.support)

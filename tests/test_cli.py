@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import sfexplain.evaluate
 from sfexplain.cli import main
 from sfexplain.dataset import Dataset, save_csv
+from sfexplain.seeding import TAG_EGMM, derive_seed
 
 SMALL_CONFIG = {
     "seed": 5,
@@ -166,6 +168,20 @@ class TestEvaluate:
         assert code1 == code2 == 0
         assert (dir1 / "summary.csv").read_bytes() == (dir2 / "summary.csv").read_bytes()
         assert (dir1 / "per_point.csv").read_bytes() == (dir2 / "per_point.csv").read_bytes()
+
+    def test_seed_flag_overrides_file_egmm_seed(self, tmp_path, monkeypatch):
+        seeds = []
+        fit = sfexplain.evaluate.egmm_fit
+
+        def recording_fit(points, config, **kwargs):
+            seeds.append(config.seed)
+            return fit(points, config, **kwargs)
+
+        monkeypatch.setattr(sfexplain.evaluate, "egmm_fit", recording_fit)
+        code, _ = self.run_eval(tmp_path, "run_seed", extra=("--seed", "9"))
+        assert code == 0
+        assert SMALL_CONFIG["egmm"]["seed"] != 9
+        assert seeds == [derive_seed(9, TAG_EGMM)]
 
     def test_oracle_detector_stars_methods(self, tmp_path):
         code, out_dir = self.run_eval(tmp_path, "run_star", extra=("--oracle-detector",))

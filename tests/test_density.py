@@ -84,6 +84,18 @@ class TestFitGmm:
         with pytest.raises(ValueError):
             fit_gmm(np.zeros((2, 1)), k=3, seed=0)
 
+    def test_likelihood_decrease_is_retried(self):
+        # A bootstrap of blob data on which the first EM attempt (seed 1)
+        # shrinks a component onto a few duplicated points until the ridge
+        # breaks monotonicity; the fit must retry rather than fail.
+        rng = np.random.default_rng(0)
+        centres = rng.normal(scale=3.0, size=(6, 4))
+        X = centres[rng.integers(6, size=60)] + rng.normal(size=(60, 4))
+        X = X[rng.integers(0, 60, size=60)]
+        model = fit_gmm(X, k=5, seed=1)
+        lls = np.array(model.em_log_likelihoods)
+        assert np.all(np.diff(lls) >= -1e-9 * np.maximum(1.0, np.abs(lls[:-1])))
+
     def test_degenerate_data_surfaces_after_retries(self):
         # Zero-variance data defeats every retry.
         with pytest.raises(DegenerateCluster):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_labeled_dataset, make_single_deviant_dataset
-from sfexplain.analyst import AnalystModel, ThresholdDistribution
+from sfexplain.analyst import AnalystModel, ThresholdDistribution, expected_mfp
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.evaluate import (
@@ -16,7 +16,6 @@ from sfexplain.evaluate import (
     OptOracleStep,
     explain_opt_oracle,
     make_detector,
-    opt_oracle_mfp,
     run_evaluation,
     select_evaluation_anomalies,
     write_per_point_csv,
@@ -103,25 +102,29 @@ class TestOptOracle:
 
 
 class TestOptOracleMfp:
-    def result(self, probs):
+    def opt_oracle_mfp(self, probs, dist):
         steps = tuple(
             OptOracleStep(size=i, subset=tuple(range(i)), prob_normal=p)
             for i, p in enumerate(probs, start=1)
         )
-        return OptOracleResult(steps=steps)
+        return expected_mfp(OptOracleResult(steps=steps).best_probs, dist, strict=True)
 
     def test_strict_threshold(self):
-        value, censored = opt_oracle_mfp(self.result((0.4, 0.2, 0.05)), ThresholdDistribution(support=((0.3, 1.0),)))
+        point_mass = ThresholdDistribution(support=((0.3, 1.0),))
+        value, censored = self.opt_oracle_mfp((0.4, 0.2, 0.05), point_mass)
         assert value == 2
         assert not censored
+        # Equality does not detect under the strict rule, but does for methods.
+        assert self.opt_oracle_mfp((0.4, 0.3, 0.05), point_mass) == (3, False)
+        assert expected_mfp((0.4, 0.3, 0.05), point_mass) == (2, False)
 
     def test_immediate_detection(self):
-        value, censored = opt_oracle_mfp(self.result((0.05, 0.04, 0.03)), UNIFORM)
+        value, censored = self.opt_oracle_mfp((0.05, 0.04, 0.03), UNIFORM)
         assert value == pytest.approx(1.0)
         assert not censored
 
     def test_censored_at_k_plus_one(self):
-        value, censored = opt_oracle_mfp(self.result((0.15, 0.12, 0.11)), ThresholdDistribution(support=((0.1, 1.0),)))
+        value, censored = self.opt_oracle_mfp((0.15, 0.12, 0.11), ThresholdDistribution(support=((0.1, 1.0),)))
         assert censored
         assert value == 4
 

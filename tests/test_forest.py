@@ -43,11 +43,13 @@ class TestFit:
         assert forest.prob_normal(np.array([1.0])) == pytest.approx(1.0 / 12.0)
         assert forest.prob_normal(np.array([0.0])) == pytest.approx(11.0 / 12.0)
 
-    def test_oob_accuracy_on_separable_data(self):
+    def test_held_out_accuracy_on_separable_data(self):
         rng = np.random.default_rng(1)
         X, y = separable_1d(rng)
         forest = BaggedForest.fit(X, y, ForestConfig(tree_count=50, min_leaf=2), seed=2)
-        assert forest.oob_accuracy() >= 0.95
+        X_test, y_test = separable_1d(rng)
+        predicted_anomaly = forest.prob_normal_many(X_test) < 0.5
+        assert np.mean(predicted_anomaly == y_test) >= 0.95
 
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -92,12 +94,3 @@ class TestSerialization:
         np.testing.assert_array_equal(
             forest.prob_normal_many(probe), loaded.prob_normal_many(probe)
         )
-
-    def test_loaded_forest_has_no_oob(self, tmp_path):
-        rng = np.random.default_rng(6)
-        X, y = separable_1d(rng)
-        forest = BaggedForest.fit(X, y, ForestConfig(tree_count=5), seed=1)
-        path = tmp_path / "forest.json"
-        forest.save(path)
-        with pytest.raises(ValueError, match="out-of-bag"):
-            BaggedForest.load(path).oob_accuracy()
