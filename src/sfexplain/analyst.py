@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .explain import Sfe
-from .forest import BaggedForest, ForestConfig, SingleClassTrainingData
+from .forest import BaggedForest, ForestConfig, MalformedForest, SingleClassTrainingData
 
 __all__ = [
     "AnalystModel",
@@ -98,9 +98,11 @@ class AnalystModel:
     not depend on query order. The cache is thread safe: concurrent misses
     for the same subset coalesce onto a single training run.
 
-    When cache_dir is set, fitted classifiers persist to disk keyed by a
-    hash of the training data plus the canonical subset, so repeated
-    evaluations skip retraining.
+    When cache_dir is set, fitted classifiers persist to disk, one .npz file
+    per subset, keyed by a hash of the training data taken at construction
+    plus the canonical subset, so repeated evaluations skip retraining. A
+    cache file that cannot be read, or holds a forest of the wrong width, is
+    logged, retrained and overwritten.
     """
 
     def __init__(
@@ -116,6 +118,12 @@ class AnalystModel:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
+        digest = hashlib.sha256()
+        digest.update(training_data.points.tobytes())
+        digest.update(training_data.labels.tobytes())
+        digest.update(repr(self.forest_config.to_dict()).encode())
+        digest.update(str(self.seed).encode())
+        self._fingerprint = digest.hexdigest()[:16]
         self._cache: dict[tuple[int, ...], BaggedForest] = {}
         self._pending: dict[tuple[int, ...], threading.Event] = {}
         self._lock = threading.Lock()
@@ -127,26 +135,30 @@ class AnalystModel:
     def n_features(self) -> int:
         return self.training_data.n_features
 
-    def _dataset_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.training_data.points.tobytes())
-        digest.update(self.training_data.labels.tobytes())
-        digest.update(repr(self.forest_config.to_dict()).encode())
-        digest.update(str(self.seed).encode())
-        return digest.hexdigest()[:16]
-
     def _cache_path(self, key: tuple[int, ...]) -> Path:
-        name = f"{self._dataset_fingerprint()}_{'-'.join(map(str, key))}.json"
-        return self.cache_dir / name
+        return self.cache_dir / f"{self._fingerprint}_{'-'.join(map(str, key))}.npz"
+
+    def _load(self, path: Path, width: int) -> BaggedForest | None:
+        """The cached forest at path, or None when it is missing or unusable."""
+        if not path.exists():
+            return None
+        try:
+            forest = BaggedForest.load(path)
+        except MalformedForest as exc:
+            logger.warning("retraining: %s", exc)
+            return None
+        if forest.n_features != width:
+            logger.warning("retraining: %s has %d features, expected %d", path, forest.n_features, width)
+            return None
+        with self._lock:
+            self.loaded_count += 1
+        return forest
 
     def _train(self, key: tuple[int, ...]) -> BaggedForest:
-        if self.cache_dir is not None:
-            path = self._cache_path(key)
-            if path.exists():
-                forest = BaggedForest.load(path)
-                with self._lock:
-                    self.loaded_count += 1
-                return forest
+        path = self._cache_path(key) if self.cache_dir is not None else None
+        forest = self._load(path, len(key)) if path is not None else None
+        if forest is not None:
+            return forest
         forest_seed = int(
             np.random.SeedSequence([self.seed, *key]).generate_state(1, dtype=np.uint64)[0]
         )
@@ -158,8 +170,8 @@ class AnalystModel:
         )
         with self._lock:
             self.trained_count += 1
-        if self.cache_dir is not None:
-            forest.save(self._cache_path(key))
+        if path is not None:
+            forest.save(path)
         return forest
 
     def classifier_for(self, subset: Iterable[int]) -> BaggedForest:

@@ -44,6 +44,10 @@ class DegenerateCluster(SfexplainError):
     """EM collapsed a component or lost monotonicity, even after retries."""
 
 
+class MalformedModelFile(SfexplainError, ValueError):
+    """A model file that is not JSON or does not follow the ensemble schema."""
+
+
 class _DegenerateFit(Exception):
     """Internal: one EM attempt collapsed; retried with a fresh seed."""
 
@@ -515,31 +519,39 @@ def save_egmm(model: EgmmModel, path: str | Path) -> None:
 
 
 def load_egmm(path: str | Path) -> EgmmModel:
-    with open(Path(path)) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not an ensemble model file")
+    """Read a model written by save_egmm; raise MalformedModelFile if it is not one."""
+    try:
+        with open(Path(path)) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MalformedModelFile(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+        raise MalformedModelFile(f"{path}: not an ensemble model file")
     if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-    members = tuple(
-        GmmModel(
-            components=tuple(
-                GaussianComponent(
-                    weight=comp["weight"],
-                    mean=np.array(comp["mean"]),
-                    covariance=np.array(comp["covariance"]),
-                )
-                for comp in member["components"]
-            ),
-            n=payload["n"],
+        raise MalformedModelFile(f"{path}: unsupported model version {payload.get('version')}")
+    try:
+        n = payload["n"]
+        members = tuple(
+            GmmModel(
+                components=tuple(
+                    GaussianComponent(
+                        weight=comp["weight"],
+                        mean=np.array(comp["mean"]),
+                        covariance=np.array(comp["covariance"]),
+                    )
+                    for comp in member["components"]
+                ),
+                n=n,
+            )
+            for member in payload["members"]
         )
-        for member in payload["members"]
-    )
-    config = EgmmConfig.from_dict(payload["config"]) if payload.get("config") else None
-    return EgmmModel(
-        members=members,
-        n=payload["n"],
-        shift=np.array(payload["shift"]),
-        scale=np.array(payload["scale"]),
-        config=config,
-    )
+        config = EgmmConfig.from_dict(payload["config"]) if payload.get("config") else None
+        return EgmmModel(
+            members=members,
+            n=n,
+            shift=np.array(payload["shift"]),
+            scale=np.array(payload["scale"]),
+            config=config,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedModelFile(f"{path}: malformed model file: {exc!r}") from exc

@@ -5,16 +5,25 @@ draws (each tree samples equal counts per class, with replacement). Training
 rows are put into a canonical order before any random draw, so fitted forests
 and their predictions do not depend on the order rows arrive in.
 
+All trees of a forest grow together, one depth at a time, from features
+sorted once per tree (the presort-once, breadth-first growth of SLIQ, Mehta
+et al. 1996). A fitted forest is five flat node arrays. Leaves point to
+themselves, so prediction evaluates every node's test at once and then
+follows the child pointers by repeated squaring.
+
 Leaf probabilities are Laplace smoothed, (count + 1) / (total + 2), which
 keeps predictions strictly inside (0, 1).
 """
 
 from __future__ import annotations
 
-import json
 import math
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +32,10 @@ from .errors import SfexplainError
 
 class SingleClassTrainingData(SfexplainError):
     """Training data must contain both normal and anomaly rows."""
+
+
+class MalformedForest(SfexplainError, ValueError):
+    """Node arrays, or a saved forest file, that do not describe a valid forest."""
 
 
 @dataclass(frozen=True)
@@ -58,123 +71,217 @@ class ForestConfig:
         return cls(**raw)
 
 
-class _Tree:
-    """Flat-array binary tree. Internal nodes hold (feature, threshold);
-    every node holds its training class counts, used at leaves."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "n_normal", "n_anomaly")
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.n_normal: list[int] = []
-        self.n_anomaly: list[int] = []
-
-    def add_node(self, n_normal: int, n_anomaly: int) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.n_normal.append(n_normal)
-        self.n_anomaly.append(n_anomaly)
-        return len(self.feature) - 1
-
-    def leaf_for(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] >= 0:
-            node = self.left[node] if x[self.feature[node]] < self.threshold[node] else self.right[node]
-        return node
-
-    def prob_normal(self, x: np.ndarray) -> float:
-        node = self.leaf_for(x)
-        n0, n1 = self.n_normal[node], self.n_anomaly[node]
-        return (n0 + 1.0) / (n0 + n1 + 2.0)
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "prob")
 
 
-def _gini_costs(counts_left: np.ndarray, n_left: np.ndarray, total_anomaly: int, n: int):
-    """Weighted Gini impurity of every candidate split, vectorized."""
-    n_right = n - n_left
-    a_left = counts_left
-    a_right = total_anomaly - a_left
-    p_left = a_left / n_left
-    p_right = a_right / n_right
-    gini_left = 2.0 * p_left * (1.0 - p_left)
-    gini_right = 2.0 * p_right * (1.0 - p_right)
-    return (n_left * gini_left + n_right * gini_right) / n
+class TreeNodes(NamedTuple):
+    """One tree's slice of the forest's node arrays; child indices are forest-wide."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
 
 
-def _grow(
-    tree: _Tree,
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    depth: int,
-    max_depth: int,
-    min_leaf: int,
-    m_features: int,
-    rng: np.random.Generator,
-) -> int:
-    n = len(rows)
-    n_anomaly = int(y[rows].sum())
-    n_normal = n - n_anomaly
-    node = tree.add_node(n_normal, n_anomaly)
-    if depth >= max_depth or n < 2 * min_leaf or n_anomaly == 0 or n_normal == 0:
-        return node
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive segments of the given sizes."""
+    return np.cumsum(sizes) - sizes
 
-    parent_p = n_anomaly / n
-    parent_gini = 2.0 * parent_p * (1.0 - parent_p)
-    candidates = rng.choice(X.shape[1], size=m_features, replace=False)
 
-    best_cost = parent_gini - 1e-12
-    best_feature = -1
-    best_threshold = 0.0
-    for f in candidates:
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = y[rows[order]]
-        cut = np.arange(min_leaf, n - min_leaf + 1)
-        if len(cut) == 0:
-            continue
-        distinct = xs_sorted[cut - 1] < xs_sorted[cut]
-        cut = cut[distinct]
-        if len(cut) == 0:
-            continue
-        anomaly_prefix = np.cumsum(ys_sorted)
-        costs = _gini_costs(anomaly_prefix[cut - 1].astype(float), cut.astype(float), n_anomaly, n)
-        best_here = int(np.argmin(costs))
-        if costs[best_here] < best_cost:
-            best_cost = float(costs[best_here])
-            best_feature = int(f)
-            p = cut[best_here]
-            best_threshold = 0.5 * (float(xs_sorted[p - 1]) + float(xs_sorted[p]))
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of a[..., :k] for k = 0 .. a.shape[-1], along the last axis."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(a, axis=-1, out=out[..., 1:])
+    return out
 
-    if best_feature < 0:
-        return node
 
-    goes_left = X[rows, best_feature] < best_threshold
-    left = _grow(tree, X, y, rows[goes_left], depth + 1, max_depth, min_leaf, m_features, rng)
-    right = _grow(tree, X, y, rows[~goes_left], depth + 1, max_depth, min_leaf, m_features, rng)
-    tree.feature[node] = best_feature
-    tree.threshold[node] = best_threshold
-    tree.left[node] = left
-    tree.right[node] = right
-    return node
+def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, rng):
+    """Pick each node's split: the lowest weighted Gini over sampled candidates.
+
+    The nodes are consecutive segments of every row of order (sample ids,
+    sorted within each segment by that row's feature). Candidate features are
+    drawn in node order. A candidate's best cut is its first minimal one,
+    over cuts between distinct values that leave min_leaf samples per side;
+    ties between candidates go to the first drawn. A node splits only when
+    the best cost is below its own Gini impurity by more than 1e-12.
+    Returns (feature, threshold, splits), feature and threshold valid where
+    splits is set.
+    """
+    G, d = len(sizes), order.shape[0]
+    candidates = rng.random((G, d)).argsort(axis=1)[:, :m_features]
+    seg = np.repeat(np.arange(G), sizes)
+    local = np.arange(len(seg)) - _starts(sizes)[seg]
+    feat = candidates[seg].T  # (m, P): one row per candidate slot
+    sample = order[feat, starts[seg] + local]
+    xs = Xs[sample, feat]
+    anomalies = _prefix_sums(ys[sample])
+    n_left = local + 1
+    valid = np.zeros(xs.shape, dtype=bool)
+    valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
+    valid &= (n_left >= min_leaf) & (n_left <= sizes[seg] - min_leaf)
+
+    slot, pos = np.nonzero(valid)  # ordered by slot, then position
+    nl = n_left[pos].astype(float)
+    n = sizes[seg[pos]].astype(float)
+    a_left = (anomalies[slot, pos + 1] - anomalies[slot, pos - local[pos]]).astype(float)
+    a_right = n_anomaly[seg[pos]] - a_left
+    p_left = a_left / nl
+    p_right = a_right / (n - nl)
+    costs = (nl * (2.0 * p_left * (1.0 - p_left)) + (n - nl) * (2.0 * p_right * (1.0 - p_right))) / n
+
+    best_cost = np.full((len(candidates.T), G), np.inf)
+    best_pos = np.zeros((len(candidates.T), G), dtype=np.int64)
+    key = slot * G + seg[pos]
+    if len(key):
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        lowest = np.minimum.reduceat(costs, first)
+        hit = costs == np.repeat(lowest, np.diff(np.append(first, len(key))))
+        at = np.minimum.reduceat(np.where(hit, np.arange(len(key)), len(key)), first)
+        best_cost.flat[key[first]] = lowest
+        best_pos.flat[key[first]] = pos[at]
+
+    chosen = np.argmin(best_cost, axis=0)
+    nodes = np.arange(G)
+    cut = best_pos[chosen, nodes]
+    parent_p = n_anomaly / sizes
+    splits = best_cost[chosen, nodes] < 2.0 * parent_p * (1.0 - parent_p) - 1e-12
+    threshold = 0.5 * (xs[chosen, cut] + xs[chosen, np.minimum(cut + 1, xs.shape[1] - 1)])
+    return candidates[nodes, chosen], threshold, splits
+
+
+def grow_forest(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, config: ForestConfig, rng: np.random.Generator
+) -> "BaggedForest":
+    """Grow one tree per row of rows (training-row indices: that tree's
+    bootstrap), all trees one depth at a time, with candidate features
+    drawn from rng. Splits follow _best_splits; a node stays a leaf at
+    max_depth, below 2 * min_leaf samples, or when it holds one class."""
+    T, n = rows.shape
+    d = X.shape[1]
+    m_features = min(d, max(1, math.ceil(math.sqrt(d))))
+    Xs = X[rows.ravel()]  # sample s is training row rows.flat[s], of tree s // n
+    ys = y[rows.ravel()].astype(np.int64)
+    # Row f of order lists each node's samples sorted by feature f (stable);
+    # the nodes of a depth are consecutive segments, in (tree, node) order.
+    presorted = np.argsort(Xs.reshape(T, n, d), axis=1, kind="stable")
+    order = (presorted + n * np.arange(T)[:, None, None]).transpose(2, 0, 1).reshape(d, T * n)
+    sizes = np.full(T, n)
+    tree = np.arange(T)
+    levels = []
+    first_id = 0
+    for depth in range(config.max_depth + 1):
+        K = len(sizes)
+        starts = _starts(sizes)
+        anomaly_prefix = _prefix_sums(ys[order[0]])
+        n_anomaly = anomaly_prefix[starts + sizes] - anomaly_prefix[starts]
+        ids = first_id + np.arange(K)
+        level = {
+            "tree": tree,
+            "feature": np.full(K, -1),
+            "threshold": np.zeros(K),
+            "left": ids.copy(),
+            "right": ids.copy(),
+            "prob": (sizes - n_anomaly + 1.0) / (sizes + 2.0),
+        }
+        levels.append(level)
+        first_id += K
+        grow = (sizes >= 2 * config.min_leaf) & (n_anomaly > 0) & (n_anomaly < sizes)
+        grow = np.flatnonzero(grow) if depth < config.max_depth else np.array([], dtype=np.int64)
+        if not len(grow):
+            break
+        feature, threshold, splits = _best_splits(
+            Xs, ys, order, starts[grow], sizes[grow], n_anomaly[grow], m_features, config.min_leaf, rng
+        )
+        parents = grow[splits]
+        if not len(parents):
+            break
+        feature, threshold = feature[splits], threshold[splits]
+        S = len(parents)
+        level["feature"][parents] = feature
+        level["threshold"][parents] = threshold
+        level["left"][parents] = first_id + 2 * np.arange(S)
+        level["right"][parents] = first_id + 2 * np.arange(S) + 1
+
+        # Route each parent's samples to its children: a stable partition of
+        # every feature's order by the parent's test, computed with cumsums.
+        seg = np.repeat(np.arange(S), sizes[parents])
+        new_starts = _starts(sizes[parents])
+        local = np.arange(len(seg)) - new_starts[seg]
+        moved = order[:, starts[parents][seg] + local]
+        samples = moved[0]
+        goes_left = np.zeros(len(Xs), dtype=bool)
+        goes_left[samples] = Xs[samples, feature[seg]] < threshold[seg]
+        flags = goes_left[moved]
+        counts = _prefix_sums(flags)
+        left_before = counts[:, :-1] - counts[:, new_starts[seg]]
+        n_left = counts[0, new_starts + sizes[parents]] - counts[0, new_starts]
+        target = new_starts[seg] + np.where(flags, left_before, n_left[seg] + local - left_before)
+        order = np.empty_like(moved)
+        order[np.arange(d)[:, None], target] = moved
+        sizes = np.stack([n_left, sizes[parents] - n_left], axis=1).ravel()
+        tree = np.repeat(tree[parents], 2)
+
+    nodes = {name: np.concatenate([level[name] for level in levels]) for name in levels[0]}
+    # Store each tree's nodes contiguously, in breadth-first order.
+    perm = np.argsort(nodes.pop("tree"), kind="stable")
+    renumber = np.empty_like(perm)
+    renumber[perm] = np.arange(len(perm))
+    return BaggedForest(
+        feature=nodes["feature"][perm],
+        threshold=nodes["threshold"][perm],
+        left=renumber[nodes["left"][perm]],
+        right=renumber[nodes["right"][perm]],
+        prob=nodes["prob"][perm],
+        n_features=d,
+    )
 
 
 class BaggedForest:
-    """Ensemble of CART trees over a fixed training matrix.
+    """Ensemble of CART trees stored as five flat node arrays.
 
-    fit() canonicalizes row order, then trains tree t from a class-balanced
-    bootstrap drawn with seed (seed, t). Prediction averages Laplace-smoothed
-    leaf probabilities across trees.
+    Internal nodes hold a feature, a threshold (go left when the value is
+    below it) and two child indices greater than their own; a leaf has
+    feature -1 and points to itself. Every node holds the Laplace-smoothed
+    normal probability of its training samples, which is read at leaves.
+    Trees are contiguous and start at the nodes no other node points to.
+    Prediction averages leaf probabilities across trees.
     """
 
-    def __init__(self, trees: list[_Tree], n_features: int):
-        self.trees = trees
-        self.n_features = n_features
+    def __init__(self, feature, threshold, left, right, prob, n_features: int):
+        self.feature = np.asarray(feature, dtype=np.int32)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int32)
+        self.right = np.asarray(right, dtype=np.int32)
+        self.prob = np.asarray(prob, dtype=np.float64)
+        self.n_features = int(n_features)
+        size = self.feature.size
+        if self.n_features < 1 or size < 1 or any(
+            getattr(self, name).shape != (size,) for name in NODE_ARRAYS
+        ):
+            raise MalformedForest("node arrays must be nonempty, flat and of equal length")
+        index = np.arange(size)
+        internal = self.feature >= 0
+        children_ok = np.where(
+            internal,
+            (self.left > index) & (self.left < size) & (self.right > index) & (self.right < size),
+            (self.left == index) & (self.right == index),
+        )
+        if not children_ok.all() or (self.feature >= self.n_features).any() or (self.feature < -1).any():
+            raise MalformedForest("node arrays do not describe a forest")
+        parents = np.bincount(np.concatenate([self.left[internal], self.right[internal]]), minlength=size)
+        if (parents > 1).any():
+            raise MalformedForest("a node has more than one parent")
+        if not ((self.prob > 0.0) & (self.prob < 1.0)).all():
+            raise MalformedForest("leaf probabilities must lie in (0, 1)")
+        self.roots = np.flatnonzero(parents == 0)
+        # Squarings of the one-step map that take every root to its leaf:
+        # enough for 2**squarings >= the deepest leaf's depth.
+        frontier, depth = self.roots, 0
+        while len(frontier := frontier[internal[frontier]]):
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            depth += 1
+        self._squarings = math.ceil(math.log2(depth)) if depth else 0
 
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int | None = None) -> "BaggedForest":
@@ -198,70 +305,62 @@ class BaggedForest:
         normal_rows = np.flatnonzero(~y)
         anomaly_rows = np.flatnonzero(y)
         per_class = min(len(normal_rows), len(anomaly_rows))
-        d = X.shape[1]
-        m_features = min(d, max(1, math.ceil(math.sqrt(d))))
+        draws = (config.tree_count, per_class)
+        rng = np.random.default_rng(int(seed))
+        rows = np.concatenate(
+            [
+                normal_rows[rng.integers(0, len(normal_rows), size=draws)],
+                anomaly_rows[rng.integers(0, len(anomaly_rows), size=draws)],
+            ],
+            axis=1,
+        )
+        return grow_forest(X, y, rows, config, rng)
 
-        trees: list[_Tree] = []
-        for t in range(config.tree_count):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
-            rows = np.concatenate(
-                [
-                    normal_rows[rng.integers(0, len(normal_rows), size=per_class)],
-                    anomaly_rows[rng.integers(0, len(anomaly_rows), size=per_class)],
-                ]
-            )
-            tree = _Tree()
-            _grow(tree, X, y, rows, 0, config.max_depth, config.min_leaf, m_features, rng)
-            trees.append(tree)
-        return cls(trees, d)
+    @property
+    def trees(self) -> list[TreeNodes]:
+        bounds = [*self.roots.tolist(), len(self.feature)]
+        return [
+            TreeNodes(*(getattr(self, name)[a:b] for name in NODE_ARRAYS))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
 
     def prob_normal(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, got {x.shape}")
-        return float(np.mean([tree.prob_normal(x) for tree in self.trees]))
+        return float(self.prob_normal_many(x[None, :])[0])
 
     def prob_normal_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return np.array([self.prob_normal(row) for row in X])
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
+        offset = np.arange(0, len(X) * len(self.feature), len(self.feature))[:, None]
+        # step[i] is the node one test below node i, per row; each squaring
+        # doubles the number of steps it takes.
+        step = (np.where(X.take(self.feature, axis=1) < self.threshold, self.left, self.right) + offset).ravel()
+        for _ in range(self._squarings):
+            step = step[step]
+        leaf = step[self.roots + offset] - offset
+        return self.prob[leaf].sum(axis=1) / len(self.roots)
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "trees": [
-                {
-                    "feature": tree.feature,
-                    "threshold": tree.threshold,
-                    "left": tree.left,
-                    "right": tree.right,
-                    "n_normal": tree.n_normal,
-                    "n_anomaly": tree.n_anomaly,
-                }
-                for tree in self.trees
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "BaggedForest":
-        trees = []
-        for raw in payload["trees"]:
-            tree = _Tree()
-            tree.feature = [int(v) for v in raw["feature"]]
-            tree.threshold = [float(v) for v in raw["threshold"]]
-            tree.left = [int(v) for v in raw["left"]]
-            tree.right = [int(v) for v in raw["right"]]
-            tree.n_normal = [int(v) for v in raw["n_normal"]]
-            tree.n_anomaly = [int(v) for v in raw["n_anomaly"]]
-            trees.append(tree)
-        return cls(trees, int(payload["n_features"]))
-
     def save(self, path: str | Path) -> None:
-        with open(Path(path), "w") as fh:
-            json.dump(self.to_json(), fh)
+        """Write the forest as .npz through a temporary file, replaced into place."""
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, n_features=self.n_features, **{name: getattr(self, name) for name in NODE_ARRAYS})
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "BaggedForest":
-        with open(Path(path)) as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with np.load(Path(path), allow_pickle=False) as data:
+                return cls(**{name: data[name] for name in NODE_ARRAYS}, n_features=int(data["n_features"]))
+        except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+            raise MalformedForest(f"{path}: not a forest file: {exc}") from exc

@@ -123,6 +123,66 @@ class TestCache:
         assert second.loaded_count == 1
         assert p1 == p2
 
+    def test_unusable_cache_file_is_retrained_and_overwritten(self, tmp_path, caplog):
+        first = small_analyst(cache_dir=tmp_path)
+        expected = first.prob_normal(np.zeros(3), (0, 1))
+        (path,) = tmp_path.iterdir()
+        assert path.suffix == ".npz"
+        good = path.read_bytes()
+        other_width = tmp_path / "other.npz"
+        small_analyst().classifier_for((0,)).save(other_width)
+        for broken in (good[: len(good) // 2], b"", other_width.read_bytes()):
+            path.write_bytes(broken)
+            analyst = small_analyst(cache_dir=tmp_path)
+            with caplog.at_level("WARNING", logger="sfexplain.analyst"):
+                assert analyst.prob_normal(np.zeros(3), (0, 1)) == expected
+            assert (analyst.trained_count, analyst.loaded_count) == (1, 0)
+            assert "retraining" in caplog.text
+            assert path.read_bytes() == good
+            caplog.clear()
+
+    def test_two_analysts_share_one_cache_directory(self, tmp_path):
+        subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        analysts = [small_analyst(cache_dir=tmp_path) for _ in range(2)]
+        errors = []
+
+        def worker(analyst, order):
+            try:
+                for s in order:
+                    analyst.classifier_for(s)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(a, subsets[::step]))
+            for a in analysts
+            for step in (1, -1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".npz"] * len(subsets)
+
+        reader = small_analyst(cache_dir=tmp_path)
+        probe = np.random.default_rng(1).normal(size=(5, 3))
+        for s in subsets:
+            for x in probe:
+                assert reader.prob_normal(x, s) == analysts[0].prob_normal(x, s)
+        assert (reader.trained_count, reader.loaded_count) == (0, len(subsets))
+
+        # Different training data in the same directory keys its own files.
+        other = small_analyst(seed=1, cache_dir=tmp_path)
+        other.classifier_for((0, 1))
+        assert (other.trained_count, other.loaded_count) == (1, 0)
+
 
 class TestProbNormal:
     def test_stump_smoothing_arithmetic(self):

@@ -122,6 +122,16 @@ class TestExplain:
         for name in ("indmarg", "seqmarg", "inddo", "seqdo", "random"):
             assert name in stderr
 
+    def test_model_without_members_fails_with_message(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        csv_path, model = self.fit_model(tmp_path, rng)
+        payload = json.loads(model.read_text())
+        del payload["members"]
+        model.write_text(json.dumps(payload))
+        code = main(["explain", str(model), str(csv_path), "--method", "seqmarg", "-o", str(tmp_path / "sfe.csv")])
+        assert code == 1
+        assert "malformed model file" in capsys.readouterr().err
+
     def test_deviant_feature_listed_first(self, tmp_path):
         rng = np.random.default_rng(4)
         train_csv = tmp_path / "train.csv"

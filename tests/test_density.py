@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sfexplain.density import (
     EgmmConfig,
     EgmmModel,
     GaussianComponent,
+    MalformedModelFile,
     GmmModel,
     _rank_by_score,
     egmm_fit,
@@ -311,6 +313,39 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValueError, match="not an ensemble model"):
+            load_egmm(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p.pop("members"),
+            lambda p: p.update(members=[{}]),
+            lambda p: p["members"][0]["components"][0].update(mean=[0.0]),
+            lambda p: p["members"][0]["components"][0].update(covariance=[[1.0, 0.0], [0.0, 1.0]]),
+            lambda p: p["members"][0]["components"][0].update(weight="heavy"),
+            lambda p: p["members"][0]["components"][0].update(weight=None),
+            lambda p: p.update(shift=[0.0]),
+            lambda p: p.update(n="3"),
+        ],
+        ids=["no-members", "no-components", "mean-shape", "covariance-shape",
+             "weight-string", "weight-null", "shift-shape", "n-string"],
+    )
+    def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
+        X = np.random.default_rng(84).normal(size=(60, 3))
+        path = tmp_path / "model.json"
+        save_egmm(egmm_fit(X, EgmmConfig(members_per_k=1, component_counts=(2,), seed=1)), path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedModelFile):
+            load_egmm(path)
+
+    def test_truncated_file_raises_typed_error(self, tmp_path):
+        X = np.random.default_rng(85).normal(size=(60, 2))
+        path = tmp_path / "model.json"
+        save_egmm(egmm_fit(X, EgmmConfig(members_per_k=1, component_counts=(2,), seed=1)), path)
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(MalformedModelFile):
             load_egmm(path)
 
     def test_config_survives_round_trip(self, tmp_path):
