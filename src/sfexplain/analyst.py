@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import from_dict
 from .dataset import Dataset
 from .explain import Sfe
 from .forest import BaggedForest, ForestConfig, MalformedForest, SingleClassTrainingData
@@ -80,10 +81,7 @@ class ThresholdDistribution:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ThresholdDistribution":
-        unknown = set(raw) - {"support"}
-        if unknown:
-            raise ValueError(f"unknown threshold keys: {sorted(unknown)}")
-        return cls(support=tuple((t, p) for t, p in raw["support"]))
+        return from_dict(cls, raw)
 
 
 def canonical_subset(subset: Iterable[int]) -> tuple[int, ...]:

@@ -12,9 +12,10 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .config import from_dict
 from .dataset import (
     BenchmarkSpec,
     Dataset,
@@ -54,21 +55,14 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         with open(Path(path)) as fh:
             raw = json.load(fh)
-        unknown = set(raw) - {"seed", "egmm", "forest", "eval"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            seed=int(raw.get("seed", 0)),
-            egmm=EgmmConfig.from_dict(raw["egmm"]) if "egmm" in raw else None,
-            forest=ForestConfig.from_dict(raw["forest"]) if "forest" in raw else None,
-            eval=EvalConfig.from_dict(raw["eval"]) if "eval" in raw else None,
-        )
+        sections = {"egmm": EgmmConfig.from_dict, "forest": ForestConfig.from_dict, "eval": EvalConfig.from_dict}
+        return from_dict(cls, raw, seed=int, **sections)
 
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.load(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        config = RunConfig(seed=args.seed, egmm=config.egmm, forest=config.forest, eval=config.eval)
+        config = replace(config, seed=args.seed)
     logger.info("top-level seed: %d", config.seed)
     return config
 
@@ -82,7 +76,7 @@ def cmd_fit(args) -> int:
     dataset = _load_dataset(args)
     egmm_config = config.egmm or EgmmConfig()
     if args.seed is not None or config.egmm is None:
-        egmm_config = EgmmConfig.from_dict({**egmm_config.to_dict(), "seed": config.seed})
+        egmm_config = replace(egmm_config, seed=config.seed)
     model = egmm_fit(dataset.points, egmm_config)
     trained = egmm_config.members_per_k * len(egmm_config.component_counts)
     save_egmm(model, args.model_out)
@@ -100,7 +94,10 @@ def cmd_explain(args) -> int:
         )
     k = args.k if args.k is not None else dataset.n_features
     if args.point:
-        indices = [int(i) for i in args.point]
+        indices = args.point
+        outside = [i for i in indices if not 0 <= i < dataset.n_points]
+        if outside:
+            raise ValueError(f"--point indices must lie in [0, {dataset.n_points}), got {outside}")
     else:
         ranking = rank_points(model, dataset)
         indices = select_evaluation_anomalies(ranking.tolist(), dataset.labels, args.top_fraction)
@@ -128,19 +125,15 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     dataset = _load_dataset(args)
-    eval_config = config.eval or EvalConfig()
-    overrides = eval_config.to_dict()
-    overrides["seed"] = config.seed
+    eval_config = replace(config.eval or EvalConfig(), seed=config.seed)
     if args.top_fraction is not None:
-        overrides["top_fraction"] = args.top_fraction
+        eval_config = replace(eval_config, top_fraction=args.top_fraction)
     if args.oracle_detector:
-        overrides["detector_mode"] = DetectorMode.ORACLE.value
-    eval_config = EvalConfig.from_dict(overrides)
+        eval_config = replace(eval_config, detector_mode=DetectorMode.ORACLE)
 
     egmm_config = config.egmm
     if args.seed is not None and egmm_config is not None:
-        egmm_seed = derive_seed(config.seed, TAG_EGMM)
-        egmm_config = EgmmConfig.from_dict({**egmm_config.to_dict(), "seed": egmm_seed})
+        egmm_config = replace(egmm_config, seed=derive_seed(config.seed, TAG_EGMM))
 
     analyst_data = None
     if args.analyst_csv:
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top-fraction", type=float, default=0.10, help="ranked slice to take anomalies from"
     )
     p_explain.add_argument(
-        "--point", action="append", default=None, help="explain this point index instead (repeatable)"
+        "--point", action="append", type=int, help="explain this point index instead (repeatable)"
     )
     add_common(p_explain)
     p_explain.set_defaults(func=cmd_explain)

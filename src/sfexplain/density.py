@@ -8,6 +8,11 @@ density queries as the uniform mixture of the survivors.
 Every density query is a joint marginal over an arbitrary nonempty feature
 subset, computed in closed form by slicing component means and covariance
 blocks. All public scores are log densities.
+
+One kernel, ``_component_log_likelihoods``, computes every Gaussian log
+density, with one Cholesky factorization per component. EM's E-step, member
+scoring, ranking and every subset query share it through ``_log_density``,
+which standardizes the rows and combines components and members.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,6 +29,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.special import logsumexp
 
+from .config import from_dict
 from .dataset import Dataset
 from .errors import SfexplainError
 from .seeding import derive_seed
@@ -124,29 +130,9 @@ class EgmmConfig:
         if self.em_max_iters < 1 or self.em_tol <= 0.0:
             raise ValueError("em_max_iters must be positive and em_tol > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "members_per_k": self.members_per_k,
-            "component_counts": list(self.component_counts),
-            "retention_quantile": self.retention_quantile,
-            "em_max_iters": self.em_max_iters,
-            "em_tol": self.em_tol,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "EgmmConfig":
-        unknown = set(raw) - {
-            "members_per_k",
-            "component_counts",
-            "retention_quantile",
-            "em_max_iters",
-            "em_tol",
-            "seed",
-        }
-        if unknown:
-            raise ValueError(f"unknown EGMM config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return from_dict(cls, raw)
 
 
 @dataclass(frozen=True)
@@ -202,12 +188,45 @@ def _as_subset(subset: Iterable[int], n: int) -> np.ndarray:
     return idx
 
 
-def _mvn_logpdf(diff: np.ndarray, cov: np.ndarray) -> float:
-    """Log density of N(0, cov) at diff, via Cholesky."""
-    chol = cholesky(cov, lower=True)
-    solved = solve_triangular(chol, diff, lower=True)
-    log_det_half = float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (diff.size * _LOG_2PI + float(solved @ solved)) - log_det_half
+def _component_log_likelihoods(
+    X: np.ndarray, weights: Sequence[float], means: Sequence[np.ndarray], covs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """(N, k) matrix of log(weight_c) + log N(x_i; mean_c, cov_c)."""
+    N, n = X.shape
+    k = len(weights)
+    out = np.empty((N, k))
+    for c in range(k):
+        chol = cholesky(covs[c], lower=True)
+        solved = solve_triangular(chol, (X - means[c]).T, lower=True)
+        log_det_half = float(np.sum(np.log(np.diag(chol))))
+        out[:, c] = (
+            math.log(weights[c])
+            - 0.5 * (n * _LOG_2PI + np.sum(solved * solved, axis=0))
+            - log_det_half
+        )
+    return out
+
+
+def _log_density(model: EgmmModel, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Ensemble log joint-marginal density of each row of X (or of one point) on subset idx.
+
+    Standardizes the subset's columns, slices each component's mean and
+    covariance block, and combines the kernel's terms with log-sum-exp over
+    components and then over members; the result is corrected by the
+    standardization Jacobian, so it is a density over original feature units.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Z = (X[:, idx] - model.shift[idx]) / model.scale[idx]
+    block = np.ix_(idx, idx)
+    member_vals = []
+    for m in model.members:
+        comps = m.components
+        terms = _component_log_likelihoods(
+            Z, [c.weight for c in comps], [c.mean[idx] for c in comps], [c.covariance[block] for c in comps]
+        )
+        member_vals.append(logsumexp(terms, axis=1))
+    log_jacobian = float(np.sum(np.log(model.scale[idx])))
+    return logsumexp(np.stack(member_vals), axis=0) - math.log(len(model.members)) - log_jacobian
 
 
 def gmm_log_marginal(model: GmmModel, x: np.ndarray, subset: Iterable[int]) -> float:
@@ -216,14 +235,7 @@ def gmm_log_marginal(model: GmmModel, x: np.ndarray, subset: Iterable[int]) -> f
     Each component marginalizes in closed form by slicing its mean and
     covariance block on the subset.
     """
-    idx = _as_subset(subset, model.n)
-    x = np.asarray(x, dtype=np.float64)
-    terms = np.empty(len(model.components))
-    for c, comp in enumerate(model.components):
-        diff = x[idx] - comp.mean[idx]
-        cov = comp.covariance[np.ix_(idx, idx)]
-        terms[c] = math.log(comp.weight) + _mvn_logpdf(diff, cov)
-    return float(logsumexp(terms))
+    return float(_log_density(identity_egmm([model]), x, _as_subset(subset, model.n))[0])
 
 
 def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) -> float:
@@ -232,44 +244,14 @@ def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) ->
     Combines member values with log-sum-exp and removes the standardization
     Jacobian so the result is a density over original feature units.
     """
-    idx = _as_subset(subset, model.n)
-    x = np.asarray(x, dtype=np.float64)
-    z = (x - model.shift) / model.scale
-    member_vals = np.array([gmm_log_marginal(m, z, idx) for m in model.members])
-    log_jacobian = float(np.sum(np.log(model.scale[idx])))
-    return float(logsumexp(member_vals) - math.log(len(model.members)) - log_jacobian)
-
-
-def _gmm_log_joint_many(model: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Full-joint log density for every row of X. Vectorized over points."""
-    N = X.shape[0]
-    terms = np.empty((N, len(model.components)))
-    for c, comp in enumerate(model.components):
-        chol = cholesky(comp.covariance, lower=True)
-        solved = solve_triangular(chol, (X - comp.mean).T, lower=True)
-        log_det_half = float(np.sum(np.log(np.diag(chol))))
-        terms[:, c] = (
-            math.log(comp.weight)
-            - 0.5 * (model.n * _LOG_2PI + np.sum(solved * solved, axis=0))
-            - log_det_half
-        )
-    return logsumexp(terms, axis=1)
-
-
-def egmm_log_joint_many(model: EgmmModel, X: np.ndarray) -> np.ndarray:
-    """Full-joint ensemble log density for every row of X, in original units."""
-    Z = (np.asarray(X, dtype=np.float64) - model.shift) / model.scale
-    member_vals = np.stack([_gmm_log_joint_many(m, Z) for m in model.members])
-    log_jacobian = float(np.sum(np.log(model.scale)))
-    return logsumexp(member_vals, axis=0) - math.log(len(model.members)) - log_jacobian
+    return float(_log_density(model, x, _as_subset(subset, model.n))[0])
 
 
 def rank_points(model: EgmmModel, data: Dataset) -> np.ndarray:
     """Point indices sorted by ascending full-joint density, ties by index."""
     if data.n_features != model.n:
         raise ValueError("model dimensionality does not match the dataset")
-    scores = egmm_log_joint_many(model, data.points)
-    return _rank_by_score(scores)
+    return _rank_by_score(_log_density(model, data.points, np.arange(model.n)))
 
 
 def _rank_by_score(scores: np.ndarray) -> np.ndarray:
@@ -305,25 +287,6 @@ def _kmeans_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             if mask.any():
                 centers[c] = X[mask].mean(axis=0)
     return centers
-
-
-def _component_log_likelihoods(
-    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> np.ndarray:
-    """(N, k) matrix of log(weight_c) + log N(x_i; mean_c, cov_c)."""
-    N, n = X.shape
-    k = len(weights)
-    out = np.empty((N, k))
-    for c in range(k):
-        chol = cholesky(covs[c], lower=True)
-        solved = solve_triangular(chol, (X - means[c]).T, lower=True)
-        log_det_half = float(np.sum(np.log(np.diag(chol))))
-        out[:, c] = (
-            math.log(weights[c])
-            - 0.5 * (n * _LOG_2PI + np.sum(solved * solved, axis=0))
-            - log_det_half
-        )
-    return out
 
 
 def _em_once(
@@ -473,7 +436,10 @@ def egmm_fit(points: np.ndarray, config: EgmmConfig | None = None, workers: int 
     else:
         members = [train_member(i) for i in range(len(ks))]
 
-    scores = np.array([float(np.mean(_gmm_log_joint_many(m, Z))) for m in members])
+    every = np.arange(X.shape[1])
+    scores = np.array(
+        [float(np.mean(_log_density(identity_egmm([m]), Z, every))) for m in members]
+    )
     n_discard = int(math.floor(config.retention_quantile * len(members)))
     threshold = np.sort(scores)[n_discard]
     retained = tuple(m for m, s in zip(members, scores) if s >= threshold)
@@ -498,7 +464,7 @@ def save_egmm(model: EgmmModel, path: str | Path) -> None:
         "n": model.n,
         "shift": model.shift.tolist(),
         "scale": model.scale.tolist(),
-        "config": model.config.to_dict() if model.config else None,
+        "config": asdict(model.config) if model.config else None,
         "members": [
             {
                 "components": [

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
+from .config import from_dict
 from .dataset import Dataset
 from .density import EgmmConfig, EgmmModel, egmm_fit, rank_points
 from .errors import SfexplainError
@@ -89,24 +90,7 @@ class EvalConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalConfig":
-        known = {
-            "top_fraction",
-            "max_prefix",
-            "thresholds",
-            "random_repeats",
-            "methods",
-            "detector_mode",
-            "seed",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown eval config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "thresholds" in kwargs:
-            kwargs["thresholds"] = ThresholdDistribution.from_dict(kwargs["thresholds"])
-        if "methods" in kwargs:
-            kwargs["methods"] = frozenset(Method(m) for m in kwargs["methods"])
-        return cls(**kwargs)
+        return from_dict(cls, raw, thresholds=ThresholdDistribution.from_dict)
 
 
 @dataclass(frozen=True)
@@ -162,6 +146,8 @@ def select_evaluation_anomalies(
     ranking: Sequence[int], labels: np.ndarray, top_fraction: float
 ) -> list[int]:
     """Anomalies among the first ceil(top_fraction * N) ranked points, in rank order."""
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
     n = len(ranking)
     if sorted(ranking) != list(range(n)):
         raise ValueError("ranking must be a permutation of the point indices")

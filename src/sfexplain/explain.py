@@ -69,12 +69,11 @@ class Sfe:
         ]
 
 
-def _check_length(n: int, k: int | None, max_k: int | None = None) -> int:
-    limit = n if max_k is None else max_k
+def _check_length(n: int, k: int | None) -> int:
     if k is None:
-        k = limit
-    if not 1 <= k <= limit:
-        raise ValueError(f"explanation length must be in [1, {limit}], got {k}")
+        k = n
+    if not 1 <= k <= n:
+        raise ValueError(f"explanation length must be in [1, {n}], got {k}")
     return k
 
 

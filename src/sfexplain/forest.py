@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import from_dict
 from .errors import SfexplainError
 
 
@@ -65,10 +66,7 @@ class ForestConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestConfig":
-        unknown = set(raw) - {"tree_count", "max_depth", "min_leaf", "features_per_split", "seed"}
-        if unknown:
-            raise ValueError(f"unknown forest config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return from_dict(cls, raw)
 
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "prob")

@@ -132,6 +132,32 @@ class TestExplain:
         assert code == 1
         assert "malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", ["-1", "9999"])
+    def test_point_outside_dataset_rejected(self, tmp_path, capsys, point):
+        rng = np.random.default_rng(7)
+        csv_path, model = self.fit_model(tmp_path, rng)
+        out = tmp_path / "sfe.csv"
+        code = main(
+            ["explain", str(model), str(csv_path), "--method", "indmarg", "-o", str(out), "--point", point]
+        )
+        assert code == 1
+        assert "--point indices must lie in [0, 132)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_top_fraction_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        csv_path, model = self.fit_model(tmp_path, rng)
+        out = tmp_path / "sfe.csv"
+        code = main(
+            [
+                "explain", str(model), str(csv_path),
+                "--method", "indmarg", "-o", str(out), "--top-fraction", "-0.5",
+            ]
+        )
+        assert code == 1
+        assert "top_fraction must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deviant_feature_listed_first(self, tmp_path):
         rng = np.random.default_rng(4)
         train_csv = tmp_path / "train.csv"
@@ -264,3 +290,22 @@ class TestRunConfig:
         code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
         assert code != 0
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"egmm": 5}',
+            '{"eval": {"thresholds": {}}}',
+            '{"forest": {"tree_count": "a"}}',
+        ],
+    )
+    def test_malformed_section_fails_with_message(self, tmp_path, capsys, text):
+        bad = tmp_path / "c.json"
+        bad.write_text(text)
+        csv_path = tmp_path / "d.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(12))
+        code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
+        assert code == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()

@@ -284,6 +284,17 @@ class TestRankPoints:
         densities = [egmm_log_marginal(model, x, [0, 1]) for x in X]
         assert densities[37] == min(densities)
 
+    def test_ranking_sorts_full_subset_queries(self):
+        # Ranking and subset queries share one density: on standardized
+        # data, ranking all rows equals sorting every row's full-subset query.
+        rng = np.random.default_rng(75)
+        X = rng.normal(size=(150, 3)) * [100.0, 0.01, 5.0] + [1e3, -2.0, 7.0]
+        model = egmm_fit(X, EgmmConfig(members_per_k=2, component_counts=(2, 3), seed=1))
+        assert np.all(model.shift != 0.0) and np.all(model.scale != 1.0)
+        ds = Dataset(points=X, labels=[False] * 150, feature_names=("a", "b", "c"))
+        scores = [egmm_log_marginal(model, x, range(3)) for x in X]
+        assert rank_points(model, ds).tolist() == _rank_by_score(np.array(scores)).tolist()
+
     def test_duplicate_points_rank_by_index(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
         # Fit on distinct data, rank duplicates.

@@ -66,6 +66,11 @@ class TestSelectEvaluationAnomalies:
         with pytest.raises(ValueError):
             select_evaluation_anomalies([0, 0, 1], np.zeros(3, bool), 1.0)
 
+    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="top_fraction"):
+            select_evaluation_anomalies([3, 1, 2, 0], np.ones(4, bool), fraction)
+
 
 class TestOptOracle:
     def test_size_one_is_best_singleton(self):

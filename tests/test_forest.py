@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfexplain.config import MalformedConfig
 from sfexplain.forest import (
     BaggedForest,
     ForestConfig,
@@ -54,6 +55,11 @@ class TestForestConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             ForestConfig.from_dict({"tree_count": 5, "bogus": 1})
+
+    @pytest.mark.parametrize("raw", [[], {"tree_count": "a"}])
+    def test_malformed_section_is_a_typed_error(self, raw):
+        with pytest.raises(MalformedConfig):
+            ForestConfig.from_dict(raw)
 
 
 class TestFit:
