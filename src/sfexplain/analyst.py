@@ -76,9 +76,6 @@ class ThresholdDistribution:
         taus = tuple(taus)
         return cls(support=tuple((t, 1.0 / len(taus)) for t in taus))
 
-    def to_dict(self) -> dict:
-        return {"support": [[t, p] for t, p in self.support]}
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ThresholdDistribution":
         return from_dict(cls, raw)

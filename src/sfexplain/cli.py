@@ -56,7 +56,13 @@ class RunConfig:
         with open(Path(path)) as fh:
             raw = json.load(fh)
         sections = {"egmm": EgmmConfig.from_dict, "forest": ForestConfig.from_dict, "eval": EvalConfig.from_dict}
-        return from_dict(cls, raw, seed=int, **sections)
+        return from_dict(cls, raw, seed=_integer_seed, **sections)
+
+
+def _integer_seed(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"seed must be an integer, got {value!r}")
+    return value
 
 
 def _load_config(args) -> RunConfig:

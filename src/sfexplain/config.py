@@ -14,8 +14,9 @@ def from_dict(cls, raw, **convert):
 
     The keys must be field names of cls; convert maps a field name to a
     function applied to its raw value first. Input that is not an object, an
-    unknown key, or a value the constructor rejects with a TypeError or a
-    KeyError raises MalformedConfig; the constructor's ValueErrors pass through.
+    unknown key, or a value that a converter or the constructor rejects with a
+    TypeError, KeyError or ValueError raises MalformedConfig naming cls; a
+    MalformedConfig from a nested section passes through unchanged.
     """
     name = cls.__name__
     if not isinstance(raw, dict):
@@ -25,5 +26,7 @@ def from_dict(cls, raw, **convert):
         raise MalformedConfig(f"unknown config keys for {name}: {sorted(unknown)}")
     try:
         return cls(**{key: convert[key](v) if key in convert else v for key, v in raw.items()})
-    except (TypeError, KeyError) as exc:
+    except MalformedConfig:
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
         raise MalformedConfig(f"malformed {name}: {exc!r}") from exc

@@ -10,9 +10,12 @@ subset, computed in closed form by slicing component means and covariance
 blocks. All public scores are log densities.
 
 One kernel, ``_component_log_likelihoods``, computes every Gaussian log
-density, with one Cholesky factorization per component. EM's E-step, member
-scoring, ranking and every subset query share it through ``_log_density``,
-which standardizes the rows and combines components and members.
+density, with one LAPACK ``potrf`` (Cholesky) and one ``trtrs`` (triangular
+solve) per component. EM's E-step, member scoring, ranking and every subset
+query share it through ``_log_density``, which standardizes the rows, rejects
+non-finite query values and combines components and members. The kernel
+itself checks no finiteness: components reject non-finite parameters when
+built, and EM rejects a non-finite step.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import logsumexp
 
 from .config import from_dict
@@ -73,6 +77,8 @@ class GaussianComponent:
             raise ValueError(f"weight must be in (0, 1], got {self.weight}")
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValueError("covariance must be square and match the mean's length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         scale = max(np.max(np.abs(cov)), 1.0)
         if np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
             raise ValueError("covariance must be symmetric")
@@ -162,6 +168,8 @@ class EgmmModel:
         scale = np.array(self.scale, dtype=np.float64)
         if shift.shape != (self.n,) or scale.shape != (self.n,):
             raise ValueError("shift and scale must be length-n vectors")
+        if not (np.all(np.isfinite(shift)) and np.all(np.isfinite(scale))):
+            raise ValueError("shift and scale must be finite")
         if np.any(scale <= 0):
             raise ValueError("scale entries must be positive")
         shift.setflags(write=False)
@@ -191,13 +199,21 @@ def _as_subset(subset: Iterable[int], n: int) -> np.ndarray:
 def _component_log_likelihoods(
     X: np.ndarray, weights: Sequence[float], means: Sequence[np.ndarray], covs: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """(N, k) matrix of log(weight_c) + log N(x_i; mean_c, cov_c)."""
+    """(N, k) matrix of log(weight_c) + log N(x_i; mean_c, cov_c).
+
+    Inputs must be finite. Raises LinAlgError if a covariance is not
+    positive definite.
+    """
     N, n = X.shape
     k = len(weights)
     out = np.empty((N, k))
     for c in range(k):
-        chol = cholesky(covs[c], lower=True)
-        solved = solve_triangular(chol, (X - means[c]).T, lower=True)
+        chol, info = dpotrf(covs[c], lower=1, clean=1)
+        if info != 0:
+            raise LinAlgError(f"potrf failed with info={info}: covariance is not positive definite")
+        solved, info = dtrtrs(chol, (X - means[c]).T, lower=1)
+        if info != 0:
+            raise LinAlgError(f"trtrs failed with info={info}: singular Cholesky factor")
         log_det_half = float(np.sum(np.log(np.diag(chol))))
         out[:, c] = (
             math.log(weights[c])
@@ -217,6 +233,8 @@ def _log_density(model: EgmmModel, X: np.ndarray, idx: np.ndarray) -> np.ndarray
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Z = (X[:, idx] - model.shift[idx]) / model.scale[idx]
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("query values must be finite on the queried features")
     block = np.ix_(idx, idx)
     member_vals = []
     for m in model.members:
@@ -263,8 +281,17 @@ def _rank_by_score(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding followed by 10 Lloyd iterations; returns centers."""
+def _nearest_center(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    return np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+
+
+def _kmeans_init(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding followed by up to 10 Lloyd iterations.
+
+    Returns the centers and each row's nearest center. The loop stops once an
+    assignment repeats: the same masks give the same centers bit for bit, so
+    every later iteration would change nothing.
+    """
     N = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(N)]
@@ -279,14 +306,26 @@ def _kmeans_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         centers[c] = X[pick]
         d2 = np.minimum(d2, np.sum((X - centers[c]) ** 2, axis=1))
 
+    assign = _nearest_center(X, centers)
     for _ in range(10):
-        dists = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(dists, axis=1)
         for c in range(k):
             mask = assign == c
             if mask.any():
                 centers[c] = X[mask].mean(axis=0)
-    return centers
+        previous, assign = assign, _nearest_center(X, centers)
+        if np.array_equal(assign, previous):
+            break
+    return centers, assign
+
+
+def _em_log_likelihoods(X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """The kernel on EM's current parameters; a non-finite or non-SPD one fails the attempt."""
+    if not all(np.all(np.isfinite(a)) for a in (weights, means, covs)):
+        raise _DegenerateFit("EM reached non-finite parameters")
+    try:
+        return _component_log_likelihoods(X, weights, means, covs)
+    except LinAlgError as exc:
+        raise _DegenerateFit(str(exc)) from None
 
 
 def _em_once(
@@ -298,9 +337,7 @@ def _em_once(
         raise _DegenerateFit("zero-variance training sample")
     ridge_eye = ridge * np.eye(n)
 
-    centers = _kmeans_init(X, k, rng)
-    dists = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(dists, axis=1)
+    centers, assign = _kmeans_init(X, k, rng)
     global_cov = np.cov(X, rowvar=False, ddof=0).reshape(n, n) + ridge_eye
 
     weights = np.empty(k)
@@ -319,10 +356,7 @@ def _em_once(
     log_likelihoods: list[float] = []
     prev_ll = -np.inf
     for _ in range(max_iters):
-        try:
-            joint = _component_log_likelihoods(X, weights, means, covs)
-        except (LinAlgError, ValueError) as exc:
-            raise _DegenerateFit(str(exc)) from None
+        joint = _em_log_likelihoods(X, weights, means, covs)
         norms = logsumexp(joint, axis=1)
         ll = float(norms.sum())
         if log_likelihoods and ll < log_likelihoods[-1] - 1e-9 * max(1.0, abs(log_likelihoods[-1])):
@@ -343,10 +377,7 @@ def _em_once(
             covs[c] = (resp[:, c, None] * diff).T @ diff / mass[c] + ridge_eye
             covs[c] = 0.5 * (covs[c] + covs[c].T)
 
-    try:
-        _component_log_likelihoods(X[:1], weights, means, covs)
-    except (LinAlgError, ValueError) as exc:
-        raise _DegenerateFit(str(exc)) from None
+    _em_log_likelihoods(X[:1], weights, means, covs)
     return weights, means, covs, log_likelihoods
 
 
@@ -361,10 +392,10 @@ def fit_gmm(
 
     Initialization is k-means++ plus a short Lloyd refinement. A ridge
     proportional to the mean feature variance is added to every covariance
-    each M-step. A fit that collapses a component, or whose log-likelihood
-    decreases (a near-singular component breaks EM's guarantee), is retried
-    with a fresh derived seed up to 3 times before DegenerateCluster is
-    raised.
+    each M-step. A fit that collapses a component, reaches non-finite
+    parameters, or whose log-likelihood decreases (a near-singular component
+    breaks EM's guarantee), is retried with a fresh derived seed up to 3 times
+    before DegenerateCluster is raised.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:

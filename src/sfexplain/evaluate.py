@@ -77,17 +77,6 @@ class EvalConfig:
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "detector_mode", DetectorMode(self.detector_mode))
 
-    def to_dict(self) -> dict:
-        return {
-            "top_fraction": self.top_fraction,
-            "max_prefix": self.max_prefix,
-            "thresholds": self.thresholds.to_dict(),
-            "random_repeats": self.random_repeats,
-            "methods": sorted(m.value for m in self.methods),
-            "detector_mode": self.detector_mode.value,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalConfig":
         return from_dict(cls, raw, thresholds=ThresholdDistribution.from_dict)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sfexplain.evaluate
-from sfexplain.cli import main
+from sfexplain.cli import RunConfig, main
+from sfexplain.config import MalformedConfig
 from sfexplain.dataset import Dataset, save_csv
 from sfexplain.seeding import TAG_EGMM, derive_seed
 
@@ -308,4 +309,28 @@ class TestRunConfig:
         code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
         assert code == 1
         assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, section",
+        [
+            ('{"seed": 3.7}', "RunConfig"),
+            ('{"seed": true}', "RunConfig"),
+            ('{"seed": "3"}', "RunConfig"),
+            ('{"eval": {"methods": "seqmarg"}}', "EvalConfig"),
+            ('{"eval": {"thresholds": {"support": [[1]]}}}', "ThresholdDistribution"),
+            ('{"eval": {"top_fraction": 2.0}}', "EvalConfig"),
+            ('{"egmm": {"component_counts": []}}', "EgmmConfig"),
+        ],
+    )
+    def test_rejected_value_names_its_section(self, tmp_path, capsys, text, section):
+        bad = tmp_path / "c.json"
+        bad.write_text(text)
+        with pytest.raises(MalformedConfig, match=f"^malformed {section}: "):
+            RunConfig.load(bad)
+        csv_path = tmp_path / "d.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(14))
+        code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
+        assert code == 1
+        assert f"error: malformed {section}: " in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()

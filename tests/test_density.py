@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.stats import multivariate_normal
 
 from conftest import random_spd, trapezoid_marginal
 from sfexplain.dataset import Dataset
+import sfexplain.density as density
 from sfexplain.density import (
     DegenerateCluster,
     EgmmConfig,
@@ -103,6 +105,81 @@ class TestFitGmm:
         with pytest.raises(DegenerateCluster):
             fit_gmm(np.ones((20, 2)), k=2, seed=0)
 
+    def test_non_finite_em_step_is_retried(self, monkeypatch):
+        # LAPACK's potrf need not flag a NaN covariance, so EM itself must
+        # turn a non-finite step into a failed attempt and retry.
+        calls = []
+        kmeans = density._kmeans_init
+
+        def first_attempt_nan(X, k, rng):
+            centers, assign = kmeans(X, k, rng)
+            calls.append(k)
+            if len(calls) == 1:
+                centers[0, 0] = np.nan
+            return centers, assign
+
+        monkeypatch.setattr(density, "_kmeans_init", first_attempt_nan)
+        X = np.random.default_rng(5).normal(size=(80, 2))
+        model = fit_gmm(X, k=2, seed=0)
+        assert len(calls) == 2
+        for comp in model.components:
+            assert np.all(np.isfinite(comp.mean)) and np.all(np.isfinite(comp.covariance))
+        assert np.all(np.isfinite(model.em_log_likelihoods))
+
+    @pytest.mark.parametrize("bad", ["weights", "means", "covs"])
+    def test_non_finite_parameters_fail_the_attempt(self, bad):
+        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)), "covs": np.stack([np.eye(2)] * 2)}
+        params[bad].flat[-1] = np.nan
+        with pytest.raises(density._DegenerateFit):
+            density._em_log_likelihoods(np.zeros((3, 2)), **params)
+
+
+def reference_kmeans(X, k, rng):
+    """k-means++ seeding, exactly 10 Lloyd iterations, then one assignment."""
+    N = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(N)]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        pick = rng.choice(N, p=d2 / total) if total > 0 else rng.integers(N)
+        centers[c] = X[pick]
+        d2 = np.minimum(d2, np.sum((X - centers[c]) ** 2, axis=1))
+    for _ in range(10):
+        assign = np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+        for c in range(k):
+            if np.any(assign == c):
+                centers[c] = X[assign == c].mean(axis=0)
+    assign = np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+    return centers, assign
+
+
+class TestKmeansInit:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_ten_iteration_reference(self, seed):
+        # Stopping once an assignment repeats must give the same centers and
+        # assignment, bit for bit, as always running all 10 iterations.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        centres = rng.normal(scale=2.0, size=(5, n))
+        X = centres[rng.integers(5, size=120)] + rng.normal(size=(120, n))
+        X = X[rng.integers(0, 120, size=120)]
+        k = int(rng.integers(2, 7))
+        centers, assign = density._kmeans_init(X, k, np.random.default_rng(seed))
+        ref_centers, ref_assign = reference_kmeans(X, k, np.random.default_rng(seed))
+        assert np.array_equal(centers, ref_centers)
+        assert np.array_equal(assign, ref_assign)
+
+    def test_duplicate_points_leave_a_cluster_empty(self):
+        # Three distinct rows and k=4: one center keeps its seed after the
+        # first update, as in the reference loop.
+        X = np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), 4, axis=0)
+        for seed in range(5):
+            centers, assign = density._kmeans_init(X, 4, np.random.default_rng(seed))
+            ref_centers, ref_assign = reference_kmeans(X, 4, np.random.default_rng(seed))
+            assert np.array_equal(centers, ref_centers)
+            assert np.array_equal(assign, ref_assign)
+
 
 class TestGmmLogMarginal:
     def test_standard_normal_singleton(self):
@@ -161,6 +238,26 @@ class TestGmmLogMarginal:
         model = single_standard_normal(2)
         with pytest.raises(ValueError):
             gmm_log_marginal(model, np.zeros(2), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        model = single_standard_normal(3)
+        x = np.array([0.5, bad, -0.2])
+        with pytest.raises(ValueError, match="finite"):
+            gmm_log_marginal(model, x, [1, 2])
+        # A non-finite value outside the queried subset is never read.
+        assert gmm_log_marginal(model, x, [0, 2]) == pytest.approx(
+            2 * LOG_STD_NORMAL_PEAK - 0.5 * (0.25 + 0.04)
+        )
+
+    def test_non_positive_definite_covariance_raises(self):
+        comp = GaussianComponent(weight=1.0, mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(LinAlgError):
+            gmm_log_marginal(GmmModel(components=(comp,), n=2), np.zeros(2), [0, 1])
+        # One feature's block alone is positive definite.
+        assert gmm_log_marginal(GmmModel(components=(comp,), n=2), np.zeros(2), [0]) == pytest.approx(
+            LOG_STD_NORMAL_PEAK
+        )
 
     def test_out_of_range_subset_rejected(self):
         model = single_standard_normal(2)
@@ -337,9 +434,14 @@ class TestSerialization:
             lambda p: p["members"][0]["components"][0].update(weight=None),
             lambda p: p.update(shift=[0.0]),
             lambda p: p.update(n="3"),
+            lambda p: p["members"][0]["components"][0]["covariance"][1].__setitem__(1, math.nan),
+            lambda p: p["members"][0]["components"][0]["mean"].__setitem__(0, math.inf),
+            lambda p: p["shift"].__setitem__(2, math.nan),
+            lambda p: p["scale"].__setitem__(0, math.inf),
         ],
         ids=["no-members", "no-components", "mean-shape", "covariance-shape",
-             "weight-string", "weight-null", "shift-shape", "n-string"],
+             "weight-string", "weight-null", "shift-shape", "n-string", "covariance-nan", "mean-inf",
+             "shift-nan", "scale-inf"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
         X = np.random.default_rng(84).normal(size=(60, 3))
@@ -373,6 +475,20 @@ class TestComponentValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianComponent(weight=1.0, mean=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ([np.nan, 0.0], np.eye(2)),
+            ([0.0, np.inf], np.eye(2)),
+            ([0.0, 0.0], [[1.0, 0.0], [0.0, np.nan]]),
+            ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]]),
+        ],
+        ids=["mean-nan", "mean-inf", "cov-nan", "cov-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianComponent(weight=1.0, mean=np.array(mean), covariance=np.array(cov))
 
     def test_weights_must_sum_to_one(self):
         comp = GaussianComponent(weight=0.4, mean=np.zeros(1), covariance=np.eye(1))

@@ -351,17 +351,6 @@ class TestReportOutput:
 
 
 class TestEvalConfig:
-    def test_dict_round_trip(self):
-        config = EvalConfig(
-            top_fraction=0.25,
-            max_prefix=4,
-            random_repeats=10,
-            methods=frozenset({Method.SEQ_MARG, Method.RANDOM}),
-            detector_mode=DetectorMode.ORACLE,
-            seed=9,
-        )
-        assert EvalConfig.from_dict(config.to_dict()) == config
-
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             EvalConfig.from_dict({"top_fraction": 0.5, "typo": 1})
