@@ -13,16 +13,16 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import from_dict
 from .dataset import Dataset
 from .explain import Sfe
 from .forest import BaggedForest, ForestConfig, MalformedForest, SingleClassTrainingData
+from .seeding import derive_seed
 
 __all__ = [
     "AnalystModel",
@@ -76,10 +76,6 @@ class ThresholdDistribution:
         taus = tuple(taus)
         return cls(support=tuple((t, 1.0 / len(taus)) for t in taus))
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ThresholdDistribution":
-        return from_dict(cls, raw)
-
 
 def canonical_subset(subset: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted({int(j) for j in subset}))
@@ -116,7 +112,7 @@ class AnalystModel:
         digest = hashlib.sha256()
         digest.update(training_data.points.tobytes())
         digest.update(training_data.labels.tobytes())
-        digest.update(repr(self.forest_config.to_dict()).encode())
+        digest.update(repr(asdict(self.forest_config)).encode())
         digest.update(str(self.seed).encode())
         self._fingerprint = digest.hexdigest()[:16]
         self._cache: dict[tuple[int, ...], BaggedForest] = {}
@@ -154,14 +150,11 @@ class AnalystModel:
         forest = self._load(path, len(key)) if path is not None else None
         if forest is not None:
             return forest
-        forest_seed = int(
-            np.random.SeedSequence([self.seed, *key]).generate_state(1, dtype=np.uint64)[0]
-        )
         forest = BaggedForest.fit(
             self.training_data.points[:, key],
             self.training_data.labels,
             self.forest_config,
-            seed=forest_seed,
+            seed=derive_seed(self.seed, *key),
         )
         with self._lock:
             self.trained_count += 1

@@ -55,14 +55,7 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         with open(Path(path)) as fh:
             raw = json.load(fh)
-        sections = {"egmm": EgmmConfig.from_dict, "forest": ForestConfig.from_dict, "eval": EvalConfig.from_dict}
-        return from_dict(cls, raw, seed=_integer_seed, **sections)
-
-
-def _integer_seed(value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"seed must be an integer, got {value!r}")
-    return value
+        return from_dict(cls, raw)
 
 
 def _load_config(args) -> RunConfig:
@@ -190,17 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_labels=True):
+    def add_common(p):
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--seed", type=int, default=None, help="top-level seed (overrides config)")
-        if with_labels:
-            p.add_argument("--label-column", default="label", help="name of the label column")
-            p.add_argument(
-                "--anomaly-value",
-                action="append",
-                default=None,
-                help="label value counted as an anomaly (repeatable; default: anomaly)",
-            )
+        p.add_argument("--label-column", default="label", help="name of the label column")
+        p.add_argument(
+            "--anomaly-value",
+            action="append",
+            default=None,
+            help="label value counted as an anomaly (repeatable; default: anomaly)",
+        )
 
     p_fit = sub.add_parser("fit", help="fit the ensemble detector on a labeled CSV")
     p_fit.add_argument("csv", help="input CSV with a label column")

@@ -115,12 +115,6 @@ class MotherSet:
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "feature_names", tuple(str(c) for c in self.feature_names))
 
-    def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.classes:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -187,16 +181,10 @@ def load_csv(path: str | Path, label_column: str, anomaly_values: set[str]) -> D
     Rows whose label cell is in ``anomaly_values`` become anomalies; all other
     rows are normal. Feature order follows column order.
     """
-    path = Path(path)
-    header, data, lines = _read_rows(path)
-    if label_column not in header:
-        raise MissingColumn(f"{path}: no column named {label_column!r} (header: {header})")
-    label_idx = header.index(label_column)
-    matrix, raw_labels = _parse_features(header, data, lines, label_idx)
+    mother = load_mother_csv(path, label_column)
     anomaly_values = {str(v) for v in anomaly_values}
-    labels = np.array([lab in anomaly_values for lab in raw_labels], dtype=bool)
-    names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    return Dataset(points=matrix, labels=labels, feature_names=names)
+    labels = np.array([c in anomaly_values for c in mother.classes], dtype=bool)
+    return Dataset(points=mother.points, labels=labels, feature_names=mother.feature_names)
 
 
 def load_mother_csv(path: str | Path, label_column: str) -> MotherSet:
@@ -211,21 +199,16 @@ def load_mother_csv(path: str | Path, label_column: str) -> MotherSet:
     return MotherSet(points=matrix, classes=tuple(raw_labels), feature_names=names)
 
 
-def save_csv(
-    dataset: Dataset,
-    path: str | Path,
-    label_column: str = "label",
-    anomaly_value: str = "anomaly",
-    normal_value: str = "normal",
-) -> None:
-    """Write a Dataset as CSV. Floats use repr, so a reload is bit-identical."""
+def save_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a Dataset as CSV with a label column of anomaly/normal.
+
+    Floats use repr, so a reload is bit-identical.
+    """
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [label_column])
+        writer.writerow(list(dataset.feature_names) + ["label"])
         for row, is_anomaly in zip(dataset.points, dataset.labels):
-            writer.writerow(
-                [repr(float(v)) for v in row] + [anomaly_value if is_anomaly else normal_value]
-            )
+            writer.writerow([repr(float(v)) for v in row] + ["anomaly" if is_anomaly else "normal"])
 
 
 def _round_half_up(x: float) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -126,7 +127,11 @@ class EgmmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "component_counts", tuple(int(k) for k in self.component_counts))
+        try:
+            counts = tuple(operator.index(k) for k in self.component_counts)
+        except TypeError:
+            counts = ()  # not a list of integers: rejected below
+        object.__setattr__(self, "component_counts", counts)
         if self.members_per_k < 1:
             raise ValueError("members_per_k must be positive")
         if not self.component_counts or any(k < 1 for k in self.component_counts):
@@ -135,10 +140,6 @@ class EgmmConfig:
             raise ValueError("retention_quantile must be in [0, 1)")
         if self.em_max_iters < 1 or self.em_tol <= 0.0:
             raise ValueError("em_max_iters must be positive and em_tol > 0")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EgmmConfig":
-        return from_dict(cls, raw)
 
 
 @dataclass(frozen=True)
@@ -298,6 +299,8 @@ def _kmeans_init(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nd
     d2 = np.sum((X - centers[0]) ** 2, axis=1)
     for c in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise _DegenerateFit("k-means++ squared distances overflow")
         if total > 0:
             probs = d2 / total
             pick = rng.choice(N, p=probs)
@@ -542,7 +545,7 @@ def load_egmm(path: str | Path) -> EgmmModel:
             )
             for member in payload["members"]
         )
-        config = EgmmConfig.from_dict(payload["config"]) if payload.get("config") else None
+        config = from_dict(EgmmConfig, payload["config"]) if payload.get("config") else None
         return EgmmModel(
             members=members,
             n=n,

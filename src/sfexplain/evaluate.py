@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
-from .config import from_dict
 from .dataset import Dataset
 from .density import EgmmConfig, EgmmModel, egmm_fit, rank_points
 from .errors import SfexplainError
@@ -76,10 +75,6 @@ class EvalConfig:
             raise ValueError("at least one method is required")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "detector_mode", DetectorMode(self.detector_mode))
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EvalConfig":
-        return from_dict(cls, raw, thresholds=ThresholdDistribution.from_dict)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import from_dict
 from .errors import SfexplainError
 
 
@@ -54,19 +53,6 @@ class ForestConfig:
             raise ValueError("max_depth and min_leaf must be >= 1")
         if self.features_per_split != "sqrt":
             raise ValueError(f"unsupported features_per_split rule: {self.features_per_split!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "tree_count": self.tree_count,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "features_per_split": self.features_per_split,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ForestConfig":
-        return from_dict(cls, raw)
 
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "prob")

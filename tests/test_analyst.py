@@ -14,7 +14,8 @@ from sfexplain.analyst import (
 )
 from sfexplain.dataset import Dataset
 from sfexplain.explain import Method, Sfe
-from sfexplain.forest import ForestConfig, SingleClassTrainingData
+from sfexplain.forest import BaggedForest, ForestConfig, SingleClassTrainingData
+from sfexplain.seeding import derive_seed
 
 UNIFORM = ThresholdDistribution.uniform()
 
@@ -58,6 +59,16 @@ class TestCache:
         analyst.classifier_for({0, 1})
         assert analyst.trained_count == 1
         assert analyst.cache_hits == 1
+
+    def test_forest_seed_derives_from_analyst_seed_and_subset(self):
+        data = make_labeled_dataset(np.random.default_rng(3))
+        config = ForestConfig(tree_count=5)
+        analyst = AnalystModel(data, config, seed=11)
+        for key in [(0,), (1, 2), (0, 1, 2)]:
+            X = data.points[:, key]
+            expected = BaggedForest.fit(X, data.labels, config, seed=derive_seed(11, *key))
+            got = analyst.classifier_for(key)
+            assert np.array_equal(got.prob_normal_many(X), expected.prob_normal_many(X))
 
     def test_subset_order_is_canonicalized(self):
         analyst = small_analyst()

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ import sfexplain.evaluate
 from sfexplain.cli import RunConfig, main
 from sfexplain.config import MalformedConfig
 from sfexplain.dataset import Dataset, save_csv
+from sfexplain.density import EgmmConfig
+from sfexplain.evaluate import EvalConfig
+from sfexplain.forest import ForestConfig
 from sfexplain.seeding import TAG_EGMM, derive_seed
 
 SMALL_CONFIG = {
@@ -321,6 +326,11 @@ class TestRunConfig:
             ('{"eval": {"thresholds": {"support": [[1]]}}}', "ThresholdDistribution"),
             ('{"eval": {"top_fraction": 2.0}}', "EvalConfig"),
             ('{"egmm": {"component_counts": []}}', "EgmmConfig"),
+            ('{"egmm": {"seed": 3.7}}', "EgmmConfig"),
+            ('{"forest": {"tree_count": 2.5}}', "ForestConfig"),
+            ('{"eval": {"max_prefix": 2.0}}', "EvalConfig"),
+            ('{"eval": {"random_repeats": true}}', "EvalConfig"),
+            ('{"egmm": {"component_counts": [3.7]}}', "EgmmConfig"),
         ],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, text, section):
@@ -332,5 +342,38 @@ class TestRunConfig:
         write_dataset_csv(csv_path, np.random.default_rng(14))
         code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
         assert code == 1
-        assert f"error: malformed {section}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: malformed {section}: " in err
+        assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_readme_config_matches_the_dataclasses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "c.json"
+        path.write_text(block)
+        config = RunConfig.load(path)
+        assert config == RunConfig(
+            seed=7,
+            egmm=EgmmConfig(seed=7),
+            forest=ForestConfig(seed=7),
+            eval=EvalConfig(seed=7),
+        )
+        raw = json.loads(block)
+        for name in ("egmm", "forest", "eval"):
+            assert set(raw[name]) == {f.name for f in dataclasses.fields(getattr(config, name))}
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{}", RunConfig()),
+            ('{"seed": 4}', RunConfig(seed=4)),
+            ('{"egmm": null, "forest": null, "eval": null}', RunConfig()),
+            ('{"eval": {"max_prefix": null}}', RunConfig(eval=EvalConfig(max_prefix=None))),
+            ('{"eval": {"max_prefix": 3}}', RunConfig(eval=EvalConfig(max_prefix=3))),
+        ],
+    )
+    def test_sectionless_and_null_configs_load(self, tmp_path, text, expected):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert RunConfig.load(path) == expected

@@ -105,6 +105,14 @@ class TestFitGmm:
         with pytest.raises(DegenerateCluster):
             fit_gmm(np.ones((20, 2)), k=2, seed=0)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e154])
+    def test_overflowing_kmeans_distances_surface_after_retries(self, scale):
+        # Finite points whose squared distances overflow leave k-means++ no
+        # sampling weights; every attempt fails instead of drawing from NaN.
+        X = np.random.default_rng(0).normal(size=(30, 2)) * scale
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateCluster):
+            fit_gmm(X, k=2, seed=0)
+
     def test_non_finite_em_step_is_retried(self, monkeypatch):
         # LAPACK's potrf need not flag a NaN covariance, so EM itself must
         # turn a non-finite step into a failed attempt and retry.
@@ -438,10 +446,12 @@ class TestSerialization:
             lambda p: p["members"][0]["components"][0]["mean"].__setitem__(0, math.inf),
             lambda p: p["shift"].__setitem__(2, math.nan),
             lambda p: p["scale"].__setitem__(0, math.inf),
+            lambda p: p["config"].update(seed=3.7),
+            lambda p: p["config"].update(component_counts=[2.5]),
         ],
         ids=["no-members", "no-components", "mean-shape", "covariance-shape",
              "weight-string", "weight-null", "shift-shape", "n-string", "covariance-nan", "mean-inf",
-             "shift-nan", "scale-inf"],
+             "shift-nan", "scale-inf", "config-seed-float", "config-count-float"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
         X = np.random.default_rng(84).normal(size=(60, 3))

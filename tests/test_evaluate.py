@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_labeled_dataset, make_single_deviant_dataset
 from sfexplain.analyst import AnalystModel, ThresholdDistribution, expected_mfp
+from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.evaluate import (
@@ -353,7 +354,7 @@ class TestReportOutput:
 class TestEvalConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
-            EvalConfig.from_dict({"top_fraction": 0.5, "typo": 1})
+            from_dict(EvalConfig, {"top_fraction": 0.5, "typo": 1})
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sfexplain.config import MalformedConfig
+from sfexplain.config import MalformedConfig, from_dict
 from sfexplain.forest import (
     BaggedForest,
     ForestConfig,
@@ -50,16 +52,16 @@ class TestForestConfig:
 
     def test_dict_round_trip(self):
         config = ForestConfig(tree_count=7, max_depth=3, min_leaf=2, seed=5)
-        assert ForestConfig.from_dict(config.to_dict()) == config
+        assert from_dict(ForestConfig, dataclasses.asdict(config)) == config
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
-            ForestConfig.from_dict({"tree_count": 5, "bogus": 1})
+            from_dict(ForestConfig, {"tree_count": 5, "bogus": 1})
 
     @pytest.mark.parametrize("raw", [[], {"tree_count": "a"}])
     def test_malformed_section_is_a_typed_error(self, raw):
         with pytest.raises(MalformedConfig):
-            ForestConfig.from_dict(raw)
+            from_dict(ForestConfig, raw)
 
 
 class TestFit:
