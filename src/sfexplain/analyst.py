@@ -60,6 +60,8 @@ class ThresholdDistribution:
 
     def __post_init__(self):
         support = tuple((float(t), float(p)) for t, p in self.support)
+        if any(isinstance(v, bool) for pair in self.support for v in pair):
+            raise ValueError("thresholds and probabilities must be numbers, not bools")
         if not support:
             raise ValueError("threshold distribution needs at least one value")
         if any(not 0.0 <= t <= 0.5 for t, _ in support):

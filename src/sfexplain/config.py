@@ -21,9 +21,10 @@ def from_dict(cls, raw):
     The keys must be field names of cls. A field annotated with a dataclass D
     or ``D | None`` is read by from_dict(D, ...), taking null where None is
     allowed; a field annotated ``int`` or ``int | None`` accepts only a JSON
-    integer (not a float, bool or string); every other value goes to the
-    constructor unchanged. Input that is not an object, an unknown key, a
-    non-integer integer field, or a value the constructor rejects with a
+    integer (not a float, bool or string), and one annotated ``float`` no
+    bool; every other value goes to the constructor unchanged. Input that is
+    not an object, an unknown key, a non-integer integer field, a bool in a
+    float field, or a value the constructor rejects with a
     TypeError, KeyError or ValueError raises MalformedConfig naming cls; a
     MalformedConfig from a nested section passes through unchanged.
     """
@@ -41,9 +42,10 @@ def from_dict(cls, raw):
             values[key] = None
         elif dataclasses.is_dataclass(kind):
             values[key] = from_dict(kind, value)
-        elif kind is int and type(value) is not int:
+        elif (kind is int and type(value) is not int) or (kind is float and isinstance(value, bool)):
+            want = "integer" if kind is int else "number"
             got = json.dumps(value, default=repr)
-            raise MalformedConfig(f"malformed {name}: {key} must be a JSON integer, got {got}")
+            raise MalformedConfig(f"malformed {name}: {key} must be a JSON {want}, got {got}")
         else:
             values[key] = value
     try:

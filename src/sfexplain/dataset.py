@@ -4,12 +4,18 @@ A benchmark dataset carries an N x n matrix of real features plus a binary
 normal/anomaly label per row. Benchmarks are produced by designating some of
 a labeled "mother" dataset's classes as anomalous and sampling normal and
 anomaly rows at a requested proportion.
+
+CSV ingest streams records into one flat float buffer that the Dataset or
+MotherSet copies once, so loading never holds a list of rows and its memory
+peaks at a small multiple of the final N x n matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,40 +145,46 @@ class BenchmarkSpec:
             raise ValueError(f"target_size must be positive, got {self.target_size}")
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[list[str]], list[int]]:
+def _read_csv(path: Path, label_column: str) -> tuple[np.ndarray, list[str], tuple[str, ...]]:
+    """Stream the records of a labeled CSV into (matrix, class labels, feature names).
+
+    Each record's feature cells go straight into one flat float buffer, and
+    equal labels share one string, so no list of rows is ever held. The
+    matrix is a view of that buffer. Row numbers count csv records from the
+    header's as 1, blank records included.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    if not rows:
-        raise EmptyFile(f"{path}: file is empty")
-    header = [c.strip() for c in rows[0][1]]
-    data = [row for _, row in rows[1:]]
-    lines = [lineno for lineno, _ in rows[1:]]
-    if not data:
-        raise EmptyFile(f"{path}: no data rows")
-    return header, data, lines
-
-
-def _parse_features(
-    header: list[str], data: list[list[str]], lines: list[int], label_idx: int
-) -> tuple[np.ndarray, list[str]]:
-    feature_cols = [i for i in range(len(header)) if i != label_idx]
-    matrix = np.empty((len(data), len(feature_cols)), dtype=np.float64)
-    raw_labels = []
-    for r, row in enumerate(data):
-        if len(row) != len(header):
-            raise NonNumericCell(lines[r], "<row>", f"expected {len(header)} cells, got {len(row)}")
-        for j, i in enumerate(feature_cols):
-            cell = row[i].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCell(lines[r], header[i], cell) from None
-            if not math.isfinite(value):
-                raise NonNumericCell(lines[r], header[i], cell)
-            matrix[r, j] = value
-        raw_labels.append(row[label_idx].strip())
-    return matrix, raw_labels
+        records = (item for item in enumerate(csv.reader(fh), start=1) if item[1])
+        first = next(records, None)
+        if first is None:
+            raise EmptyFile(f"{path}: file is empty")
+        header = [c.strip() for c in first[1]]
+        row_one = next(records, None)
+        if row_one is None:
+            raise EmptyFile(f"{path}: no data rows")
+        if label_column not in header:
+            raise MissingColumn(f"{path}: no column named {label_column!r} (header: {header})")
+        label_idx = header.index(label_column)
+        features = [(i, h) for i, h in enumerate(header) if i != label_idx]
+        values = array("d")
+        classes: list[str] = []
+        labels: dict[str, str] = {}
+        for lineno, row in itertools.chain([row_one], records):
+            if len(row) != len(header):
+                raise NonNumericCell(lineno, "<row>", f"expected {len(header)} cells, got {len(row)}")
+            for i, name in features:
+                cell = row[i].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise NonNumericCell(lineno, name, cell) from None
+                if not math.isfinite(value):
+                    raise NonNumericCell(lineno, name, cell)
+                values.append(value)
+            label = row[label_idx].strip()
+            classes.append(labels.setdefault(label, label))
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(classes), len(features))
+    return matrix, classes, tuple(name for _, name in features)
 
 
 def load_csv(path: str | Path, label_column: str, anomaly_values: set[str]) -> Dataset:
@@ -181,22 +193,16 @@ def load_csv(path: str | Path, label_column: str, anomaly_values: set[str]) -> D
     Rows whose label cell is in ``anomaly_values`` become anomalies; all other
     rows are normal. Feature order follows column order.
     """
-    mother = load_mother_csv(path, label_column)
+    matrix, classes, names = _read_csv(Path(path), label_column)
     anomaly_values = {str(v) for v in anomaly_values}
-    labels = np.array([c in anomaly_values for c in mother.classes], dtype=bool)
-    return Dataset(points=mother.points, labels=labels, feature_names=mother.feature_names)
+    labels = np.array([c in anomaly_values for c in classes], dtype=bool)
+    return Dataset(points=matrix, labels=labels, feature_names=names)
 
 
 def load_mother_csv(path: str | Path, label_column: str) -> MotherSet:
     """Load a multiclass mother CSV, keeping the original class labels."""
-    path = Path(path)
-    header, data, lines = _read_rows(path)
-    if label_column not in header:
-        raise MissingColumn(f"{path}: no column named {label_column!r} (header: {header})")
-    label_idx = header.index(label_column)
-    matrix, raw_labels = _parse_features(header, data, lines, label_idx)
-    names = tuple(h for i, h in enumerate(header) if i != label_idx)
-    return MotherSet(points=matrix, classes=tuple(raw_labels), feature_names=names)
+    matrix, classes, names = _read_csv(Path(path), label_column)
+    return MotherSet(points=matrix, classes=tuple(classes), feature_names=names)
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:

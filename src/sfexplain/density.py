@@ -128,9 +128,10 @@ class EgmmConfig:
 
     def __post_init__(self):
         try:
-            counts = tuple(operator.index(k) for k in self.component_counts)
+            given = tuple(self.component_counts)
+            counts = () if any(isinstance(k, bool) for k in given) else tuple(map(operator.index, given))
         except TypeError:
-            counts = ()  # not a list of integers: rejected below
+            counts = ()  # not a list of integers other than bools: rejected below
         object.__setattr__(self, "component_counts", counts)
         if self.members_per_k < 1:
             raise ValueError("members_per_k must be positive")
@@ -283,7 +284,15 @@ def _rank_by_score(scores: np.ndarray) -> np.ndarray:
 
 
 def _nearest_center(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+    """Each row's nearest center, ties to the first; one center at a time, so O(N·n) memory."""
+    assign = np.zeros(X.shape[0], dtype=np.intp)
+    best = np.full(X.shape[0], np.inf)
+    for c, center in enumerate(centers):
+        d2 = np.sum((X - center) ** 2, axis=1)
+        closer = d2 < best
+        assign[closer] = c
+        np.minimum(best, d2, out=best)
+    return assign
 
 
 def _kmeans_init(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -331,6 +331,16 @@ class TestRunConfig:
             ('{"eval": {"max_prefix": 2.0}}', "EvalConfig"),
             ('{"eval": {"random_repeats": true}}', "EvalConfig"),
             ('{"egmm": {"component_counts": [3.7]}}', "EgmmConfig"),
+            ('{"egmm": {"em_tol": true}}', "EgmmConfig"),
+            ('{"egmm": {"retention_quantile": false}}', "EgmmConfig"),
+            ('{"egmm": {"component_counts": [true, 2]}}', "EgmmConfig"),
+            (
+                '{"egmm": {"em_tol": true, "retention_quantile": false, "component_counts": [true, 2]}}',
+                "EgmmConfig",
+            ),
+            ('{"eval": {"top_fraction": true}}', "EvalConfig"),
+            ('{"eval": {"thresholds": {"support": [[true, 1]]}}}', "ThresholdDistribution"),
+            ('{"eval": {"thresholds": {"support": [[0.1, true]]}}}', "ThresholdDistribution"),
         ],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, text, section):
@@ -340,12 +350,13 @@ class TestRunConfig:
             RunConfig.load(bad)
         csv_path = tmp_path / "d.csv"
         write_dataset_csv(csv_path, np.random.default_rng(14))
-        code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"error: malformed {section}: " in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "m.json").exists()
+        for command, out in (("fit", tmp_path / "m.json"), ("evaluate", tmp_path / "report")):
+            code = main([command, str(csv_path), "-o", str(out), "--config", str(bad)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"error: malformed {section}: " in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_readme_config_matches_the_dataclasses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

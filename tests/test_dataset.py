@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,95 @@ class TestLoadCsv:
         p = write(tmp_path / "d.csv", "a,class\nnan,0\n")
         with pytest.raises(NonNumericCell):
             load_csv(p, "class", {"4"})
+
+    # Row numbers count csv records from the header's as 1, blank records
+    # included, so a quoted newline does not advance them.
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("", EmptyFile, "{path}: file is empty"),
+            ("\n\n", EmptyFile, "{path}: file is empty"),
+            ("a,b,class\n", EmptyFile, "{path}: no data rows"),
+            ("a,b\n", EmptyFile, "{path}: no data rows"),
+            ("a,b,class\n\n\n", EmptyFile, "{path}: no data rows"),
+            ("a,b\n1\n", MissingColumn, "{path}: no column named 'class' (header: ['a', 'b'])"),
+            (
+                "a,b,class\n1,2,0\n1,2\n",
+                NonNumericCell,
+                "row 3, column '<row>': 'expected 3 cells, got 2' is not a finite number",
+            ),
+            (
+                "a,b,class\n1,2,0,4\n",
+                NonNumericCell,
+                "row 2, column '<row>': 'expected 3 cells, got 4' is not a finite number",
+            ),
+            (
+                "a,b,class\n1,2,0\n   \n",
+                NonNumericCell,
+                "row 3, column '<row>': 'expected 3 cells, got 1' is not a finite number",
+            ),
+            ("a,b,class\n1,2,0\n1,oops,0\n", NonNumericCell, "row 3, column 'b': 'oops' is not a finite number"),
+            ("a,b,class\n1,nan,0\n", NonNumericCell, "row 2, column 'b': 'nan' is not a finite number"),
+            ("a,b,class\n1,2,0\n-inf,2,0\n", NonNumericCell, "row 3, column 'a': '-inf' is not a finite number"),
+            ("a,b,class\n1,1e999,0\n", NonNumericCell, "row 2, column 'b': '1e999' is not a finite number"),
+            ("a,b,class\nnan,x,0\n", NonNumericCell, "row 2, column 'a': 'nan' is not a finite number"),
+            ("a,b,class\n1,x,0\ninf,1,0\n", NonNumericCell, "row 2, column 'b': 'x' is not a finite number"),
+            ("a,b,class\n1,2,0\n\n\n1, x ,0\n", NonNumericCell, "row 5, column 'b': 'x' is not a finite number"),
+            ("\n\na,b,class\n1,x,0\n", NonNumericCell, "row 4, column 'b': 'x' is not a finite number"),
+            ('a,b,class\n1,"2\n",0\n1,"x\ny",0\n', NonNumericCell, "row 3, column 'b': 'x\\ny' is not a finite number"),
+            ("a,b,class\r\n1,2,0\r\n\r\n3,z,4\r\n", NonNumericCell, "row 4, column 'b': 'z' is not a finite number"),
+            ("class\n1\n2\n", ValueError, "points must be a nonempty 2D matrix, got shape (2, 0)"),
+        ],
+    )
+    @pytest.mark.parametrize("loader", ["load_csv", "load_mother_csv"])
+    def test_rejects_with_exact_message(self, tmp_path, text, error, message, loader):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(error) as err:
+            if loader == "load_csv":
+                load_csv(p, "class", {"4"})
+            else:
+                load_mother_csv(p, "class")
+        assert type(err.value) is error
+        assert str(err.value) == message.format(path=p)
+
+    @pytest.mark.parametrize(
+        "text, points, classes, names",
+        [
+            ("a,b,class\r\n1,2,0\r\n3,4,4\r\n", [[1, 2], [3, 4]], ("0", "4"), ("a", "b")),
+            (" a , b , class \n1, 2 , 4 \n3,4,  0\n 5 ,6,4\n", [[1, 2], [3, 4], [5, 6]], ("4", "0", "4"), ("a", "b")),
+            ('a,b,class\n1,2,"no\nrmal"\n\n3,"4\n",4\n', [[1, 2], [3, 4]], ("no\nrmal", "4"), ("a", "b")),
+            ("class,a,class\n1,2,3\n", [[2, 3]], ("1",), ("a", "class")),
+            ("a,class\n1_000,0\n", [[1000]], ("0",), ("a",)),
+        ],
+    )
+    def test_parses_records_not_lines(self, tmp_path, text, points, classes, names):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        mother = load_mother_csv(p, "class")
+        assert mother.points.tolist() == points
+        assert mother.classes == classes
+        assert mother.feature_names == names
+        ds = load_csv(p, "class", {"4"})
+        assert ds.points.tolist() == points
+        assert ds.labels.tolist() == [c == "4" for c in classes]
+        assert ds.feature_names == names
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(20_000, 20))
+        labels = rng.random(20_000) < 0.05
+        labels[0] = False
+        path = tmp_path / "big.csv"
+        save_csv(Dataset(points=points, labels=labels, feature_names=[f"f{i}" for i in range(20)]), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, "label", {"anomaly"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (ds.points == points).all()
+        assert peak <= 3 * ds.points.nbytes
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)

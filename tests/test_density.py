@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,28 @@ class TestKmeansInit:
             ref_centers, ref_assign = reference_kmeans(X, 4, np.random.default_rng(seed))
             assert np.array_equal(centers, ref_centers)
             assert np.array_equal(assign, ref_assign)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_go_to_the_first_nearest_center(self, seed):
+        # Integer points and a repeated center make equal distances common;
+        # argmin over the broadcast N x k x n tensor picks the first minimum.
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(60, 2)).astype(float)
+        centers = X[rng.integers(60, size=5)]
+        centers[3] = centers[1]
+        d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assert np.any(np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1)
+        assert np.array_equal(density._nearest_center(X, centers), np.argmin(d2, axis=1))
+
+    def test_peak_memory_is_independent_of_k(self):
+        X = np.random.default_rng(5).normal(size=(20_000, 20))
+        tracemalloc.start()
+        try:
+            density._kmeans_init(X, 5, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * X.nbytes
 
 
 class TestGmmLogMarginal:
@@ -448,10 +471,13 @@ class TestSerialization:
             lambda p: p["scale"].__setitem__(0, math.inf),
             lambda p: p["config"].update(seed=3.7),
             lambda p: p["config"].update(component_counts=[2.5]),
+            lambda p: p["config"].update(component_counts=[True, 2]),
+            lambda p: p["config"].update(em_tol=True),
         ],
         ids=["no-members", "no-components", "mean-shape", "covariance-shape",
              "weight-string", "weight-null", "shift-shape", "n-string", "covariance-nan", "mean-inf",
-             "shift-nan", "scale-inf", "config-seed-float", "config-count-float"],
+             "shift-nan", "scale-inf", "config-seed-float", "config-count-float", "config-count-bool",
+             "config-tol-bool"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
         X = np.random.default_rng(84).normal(size=(60, 3))
