@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .explain import Sfe
+from .explain import Sfe, subset_key
 from .forest import BaggedForest, ForestConfig, MalformedForest, SingleClassTrainingData
 from .seeding import derive_seed
 
@@ -79,17 +79,15 @@ class ThresholdDistribution:
         return cls(support=tuple((t, 1.0 / len(taus)) for t in taus))
 
 
-def canonical_subset(subset: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted({int(j) for j in subset}))
-
-
 class AnalystModel:
     """Per-subset classifier cache over a fixed labeled training set.
 
     Each subset's forest trains on the training data projected onto the
     subset, with a seed derived from (analyst seed, subset), so results do
-    not depend on query order. The cache is thread safe: concurrent misses
-    for the same subset coalesce onto a single training run.
+    not depend on query order. The cache is thread safe under one lock,
+    held while a missing forest is loaded or trained: a concurrent request
+    waits for it and then finds the forest in memory, so each subset trains
+    at most once.
 
     When cache_dir is set, fitted classifiers persist to disk, one .npz file
     per subset, keyed by a hash of the training data taken at construction
@@ -118,7 +116,6 @@ class AnalystModel:
         digest.update(str(self.seed).encode())
         self._fingerprint = digest.hexdigest()[:16]
         self._cache: dict[tuple[int, ...], BaggedForest] = {}
-        self._pending: dict[tuple[int, ...], threading.Event] = {}
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.trained_count = 0
@@ -131,71 +128,44 @@ class AnalystModel:
     def _cache_path(self, key: tuple[int, ...]) -> Path:
         return self.cache_dir / f"{self._fingerprint}_{'-'.join(map(str, key))}.npz"
 
-    def _load(self, path: Path, width: int) -> BaggedForest | None:
-        """The cached forest at path, or None when it is missing or unusable."""
-        if not path.exists():
-            return None
-        try:
-            forest = BaggedForest.load(path)
-        except MalformedForest as exc:
-            logger.warning("retraining: %s", exc)
-            return None
-        if forest.n_features != width:
-            logger.warning("retraining: %s has %d features, expected %d", path, forest.n_features, width)
-            return None
-        with self._lock:
-            self.loaded_count += 1
-        return forest
-
-    def _train(self, key: tuple[int, ...]) -> BaggedForest:
+    def _load_or_train(self, key: tuple[int, ...]) -> BaggedForest:
+        """The subset's forest from the disk cache when usable, else trained
+        and, with a cache directory, saved. Called with the lock held."""
         path = self._cache_path(key) if self.cache_dir is not None else None
-        forest = self._load(path, len(key)) if path is not None else None
-        if forest is not None:
-            return forest
+        if path is not None and path.exists():
+            try:
+                forest = BaggedForest.load(path)
+            except MalformedForest as exc:
+                logger.warning("retraining: %s", exc)
+            else:
+                if forest.n_features == len(key):
+                    self.loaded_count += 1
+                    return forest
+                logger.warning("retraining: %s has %d features, expected %d", path, forest.n_features, len(key))
         forest = BaggedForest.fit(
             self.training_data.points[:, key],
             self.training_data.labels,
             self.forest_config,
             seed=derive_seed(self.seed, *key),
         )
-        with self._lock:
-            self.trained_count += 1
+        self.trained_count += 1
         if path is not None:
             forest.save(path)
         return forest
 
     def classifier_for(self, subset: Iterable[int]) -> BaggedForest:
         """Return the forest for a feature subset, training it at most once."""
-        key = canonical_subset(subset)
-        if not key:
-            raise ValueError("feature subset must be nonempty")
-        if key[0] < 0 or key[-1] >= self.n_features:
-            raise ValueError(f"feature indices must lie in [0, {self.n_features})")
-        while True:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    return cached
-                event = self._pending.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._pending[key] = event
-                    break
-            event.wait()
-        try:
-            forest = self._train(key)
-            with self._lock:
-                self._cache[key] = forest
-            return forest
-        finally:
-            with self._lock:
-                del self._pending[key]
-            event.set()
+        key = subset_key(subset, self.n_features)
+        with self._lock:
+            if key in self._cache:
+                self.cache_hits += 1
+            else:
+                self._cache[key] = self._load_or_train(key)
+            return self._cache[key]
 
     def prob_normal(self, x: np.ndarray, subset: Iterable[int]) -> float:
         """P(normal | the point's values on the subset), in (0, 1)."""
-        key = canonical_subset(subset)
+        key = subset_key(subset, self.n_features)
         forest = self.classifier_for(key)
         x = np.asarray(x, dtype=np.float64)
         return forest.prob_normal(x[list(key)])

@@ -37,6 +37,7 @@ from scipy.special import logsumexp
 from .config import from_dict
 from .dataset import Dataset
 from .errors import SfexplainError
+from .explain import subset_key
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -189,15 +190,6 @@ def identity_egmm(members: Sequence[GmmModel]) -> EgmmModel:
     return EgmmModel(members=tuple(members), n=n, shift=np.zeros(n), scale=np.ones(n))
 
 
-def _as_subset(subset: Iterable[int], n: int) -> np.ndarray:
-    idx = np.unique(np.fromiter((int(j) for j in subset), dtype=np.intp))
-    if idx.size == 0:
-        raise ValueError("feature subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"feature indices must lie in [0, {n}), got {idx.tolist()}")
-    return idx
-
-
 def _component_log_likelihoods(
     X: np.ndarray, weights: Sequence[float], means: Sequence[np.ndarray], covs: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -255,7 +247,7 @@ def gmm_log_marginal(model: GmmModel, x: np.ndarray, subset: Iterable[int]) -> f
     Each component marginalizes in closed form by slicing its mean and
     covariance block on the subset.
     """
-    return float(_log_density(identity_egmm([model]), x, _as_subset(subset, model.n))[0])
+    return float(_log_density(identity_egmm([model]), x, np.array(subset_key(subset, model.n)))[0])
 
 
 def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) -> float:
@@ -264,7 +256,7 @@ def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) ->
     Combines member values with log-sum-exp and removes the standardization
     Jacobian so the result is a density over original feature units.
     """
-    return float(_log_density(model, x, _as_subset(subset, model.n))[0])
+    return float(_log_density(model, x, np.array(subset_key(subset, model.n)))[0])
 
 
 def rank_points(model: EgmmModel, data: Dataset) -> np.ndarray:

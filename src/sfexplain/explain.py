@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +35,19 @@ class DensityOracle(Protocol):
     """Anything that can score a point on an arbitrary feature subset."""
 
     def log_marginal(self, x: np.ndarray, subset: Sequence[int]) -> float: ...
+
+
+def subset_key(subset: Iterable[int], n: int) -> tuple[int, ...]:
+    """The canonical form of a feature subset of n features: its distinct
+    indices in ascending order.
+
+    Every subset query, density or analyst, goes through this one rule.
+    Raises ValueError for an empty subset or an index outside [0, n).
+    """
+    key = tuple(sorted({int(j) for j in subset}))
+    if not key or key[0] < 0 or key[-1] >= n:
+        raise ValueError(f"feature indices must lie in [0, {n}), got {list(key)}")
+    return key
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,10 @@ class TestCache:
             feature_names=("a", "b"),
         )
         analyst = AnalystModel(data, ForestConfig(tree_count=5))
-        with pytest.raises(SingleClassTrainingData):
-            analyst.classifier_for((0,))
+        for _ in range(2):  # a failed training caches nothing
+            with pytest.raises(SingleClassTrainingData):
+                analyst.classifier_for((0,))
+        assert analyst.trained_count == 0
 
     def test_disk_cache_skips_retraining(self, tmp_path):
         first = small_analyst(cache_dir=tmp_path)

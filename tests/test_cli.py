@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfexplain
 import sfexplain.evaluate
 from sfexplain.cli import RunConfig, main
 from sfexplain.config import MalformedConfig
@@ -88,6 +92,21 @@ class TestFit:
         assert main(["fit", str(csv_path), "-o", str(out1), "--config", config]) == 0
         assert main(["fit", str(csv_path), "-o", str(out2), "--config", config]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_module_entry_point_matches_main(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(0), n_normal=150, n_anomaly=10, n_features=2)
+        via_main, via_module = tmp_path / "main.json", tmp_path / "module.json"
+        assert main(["fit", str(csv_path), "-o", str(via_main), "--seed", "3"]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(sfexplain.__file__).resolve().parents[1]))
+        subprocess.run(
+            [sys.executable, "-m", "sfexplain.cli", "fit", str(csv_path), "-o", str(via_module), "--seed", "3"],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        assert via_module.read_bytes() == via_main.read_bytes()
 
 
 class TestExplain:
@@ -187,10 +206,10 @@ class TestExplain:
 
 
 class TestEvaluate:
-    def run_eval(self, tmp_path, out_name, extra=()):
+    def run_eval(self, tmp_path, out_name, extra=(), config=SMALL_CONFIG):
         csv_path = tmp_path / "bench.csv"
         write_dataset_csv(csv_path, np.random.default_rng(5), n_normal=80, n_anomaly=10)
-        config = write_config(tmp_path)
+        config = write_config(tmp_path, config)
         out_dir = tmp_path / out_name
         code = main(
             ["evaluate", str(csv_path), "-o", str(out_dir), "--config", config, *extra]
@@ -210,6 +229,17 @@ class TestEvaluate:
         assert code1 == code2 == 0
         assert (dir1 / "summary.csv").read_bytes() == (dir2 / "summary.csv").read_bytes()
         assert (dir1 / "per_point.csv").read_bytes() == (dir2 / "per_point.csv").read_bytes()
+
+    def test_forest_and_eval_section_seeds_are_ignored(self, tmp_path):
+        code, base = self.run_eval(tmp_path, "base")
+        assert code == 0
+        for section in ("forest", "eval"):
+            config = json.loads(json.dumps(SMALL_CONFIG))
+            config[section]["seed"] = 7
+            code, out_dir = self.run_eval(tmp_path, section, config=config)
+            assert code == 0
+            for name in ("summary.csv", "per_point.csv"):
+                assert (out_dir / name).read_bytes() == (base / name).read_bytes()
 
     def test_seed_flag_overrides_file_egmm_seed(self, tmp_path, monkeypatch):
         seeds = []

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantOracle, CountingOracle, GaussianOracle, TransformedOracle
-from sfexplain.density import EgmmConfig, egmm_fit
+from conftest import ConstantOracle, CountingOracle, GaussianOracle, TransformedOracle, make_labeled_dataset
+from sfexplain.analyst import AnalystModel
+from sfexplain.density import (
+    EgmmConfig,
+    GaussianComponent,
+    GmmModel,
+    egmm_fit,
+    egmm_log_marginal,
+    gmm_log_marginal,
+    identity_egmm,
+)
 from sfexplain.explain import (
     Method,
     Sfe,
@@ -14,6 +23,7 @@ from sfexplain.explain import (
     explain_seq_do,
     explain_seq_marg,
 )
+from sfexplain.forest import ForestConfig
 
 
 def std_normal_oracle(n):
@@ -234,3 +244,25 @@ class TestSharedProperties:
                 explainer(std_normal_oracle(3), np.zeros(3), k=0)
             with pytest.raises(ValueError):
                 explainer(std_normal_oracle(3), np.zeros(3), k=4)
+
+
+@pytest.mark.parametrize("subset", [[], [-1], [3], [0, 3]])
+def test_every_subset_query_rejects_the_same_subsets(subset):
+    n = 3
+    gmm = GmmModel(components=(GaussianComponent(weight=1.0, mean=np.zeros(n), covariance=np.eye(n)),), n=n)
+    data = make_labeled_dataset(np.random.default_rng(0), n_features=n)
+    analyst = AnalystModel(data, ForestConfig(tree_count=5))
+    x = np.zeros(n)
+    queries = {
+        "gmm_log_marginal": lambda s: gmm_log_marginal(gmm, x, s),
+        "egmm_log_marginal": lambda s: egmm_log_marginal(identity_egmm([gmm]), x, s),
+        "classifier_for": analyst.classifier_for,
+        "prob_normal": lambda s: analyst.prob_normal(x, s),
+    }
+    messages = {}
+    for name, query in queries.items():
+        with pytest.raises(ValueError) as info:
+            query(subset)
+        messages[name] = str(info.value)
+    expected = f"feature indices must lie in [0, {n}), got {sorted(subset)}"
+    assert messages == dict.fromkeys(queries, expected)
