@@ -7,7 +7,6 @@ a simulated analyst confirm the anomaly.
 
 from .analyst import (
     AnalystModel,
-    CertaintyCurve,
     ThresholdDistribution,
     certainty_curve,
     expected_mfp,
@@ -18,7 +17,6 @@ from .dataset import (
     MotherSet,
     load_csv,
     load_mother_csv,
-    sample_benchmark,
     sample_benchmark_split,
     save_csv,
 )
@@ -41,7 +39,6 @@ from .evaluate import (
     EvalConfig,
     EvaluationReport,
     explain_opt_oracle,
-    make_detector,
     run_evaluation,
     select_evaluation_anomalies,
 )

@@ -26,7 +26,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "AnalystModel",
-    "CertaintyCurve",
     "ThresholdDistribution",
     "SingleClassTrainingData",
     "certainty_curve",
@@ -34,22 +33,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CertaintyCurve:
-    """Analyst normality probabilities after revealing 1, 2, ... features."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ValueError("certainty values must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -171,16 +154,10 @@ class AnalystModel:
         return forest.prob_normal(x[list(key)])
 
 
-def certainty_curve(
-    analyst: AnalystModel, x: np.ndarray, explanation: Sfe, k: int | None = None
-) -> CertaintyCurve:
-    """Analyst certainty after revealing each successive explanation prefix."""
-    if k is None:
-        k = len(explanation)
-    if not 1 <= k <= len(explanation):
-        raise ValueError(f"prefix length must be in [1, {len(explanation)}], got {k}")
-    values = [analyst.prob_normal(x, explanation.order[: i + 1]) for i in range(k)]
-    return CertaintyCurve(values=tuple(values))
+def certainty_curve(analyst: AnalystModel, x: np.ndarray, explanation: Sfe) -> tuple[float, ...]:
+    """Analyst P(normal) after revealing each successive explanation prefix,
+    one value per prefix, each in (0, 1)."""
+    return tuple(analyst.prob_normal(x, explanation.order[: i + 1]) for i in range(len(explanation)))
 
 
 def expected_mfp(

@@ -221,25 +221,17 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def sample_benchmark(mother: MotherSet, spec: BenchmarkSpec) -> Dataset:
-    """Sample one benchmark from a mother set.
-
-    Draws without replacement, deterministically for a given seed. The result
-    has exactly target_size rows of which round-half-up(fraction * size) come
-    from the anomaly classes.
-    """
-    benchmark, _ = sample_benchmark_split(mother, spec)
-    return benchmark
-
-
 def sample_benchmark_split(
     mother: MotherSet, spec: BenchmarkSpec
 ) -> tuple[Dataset, Dataset | None]:
-    """Like sample_benchmark, but also returns the unsampled remainder.
+    """Sample one benchmark from a mother set; return it and the unsampled remainder.
 
-    The remainder carries the same anomaly labeling and is suitable as
-    held-out training data for the simulated analyst. It is None when the
-    benchmark consumed the whole mother set.
+    Draws without replacement, deterministically for a given seed. The
+    benchmark has exactly target_size rows of which round-half-up(fraction *
+    size) come from the anomaly classes. The remainder carries the same
+    anomaly labeling and is suitable as held-out training data for the
+    simulated analyst. It is None when the benchmark consumed the whole
+    mother set.
     """
     present = set(mother.classes)
     missing = sorted(spec.anomaly_classes - present)

@@ -532,6 +532,8 @@ def load_egmm(path: str | Path) -> EgmmModel:
         raise MalformedModelFile(f"{path}: unsupported model version {payload.get('version')}")
     try:
         n = payload["n"]
+        if type(n) is not int:
+            raise TypeError(f"n must be a JSON integer, got {json.dumps(n)}")
         members = tuple(
             GmmModel(
                 components=tuple(

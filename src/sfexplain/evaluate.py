@@ -25,7 +25,7 @@ from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expec
 from .dataset import Dataset
 from .density import EgmmConfig, EgmmModel, egmm_fit, rank_points
 from .errors import SfexplainError
-from .explain import DENSITY_METHODS, DensityOracle, Method, density_explainers, explain_random
+from .explain import DENSITY_METHODS, Method, density_explainers, explain_random
 from .forest import ForestConfig
 from .seeding import TAG_ANALYST, TAG_EGMM, TAG_RANDOM_SFE, derive_seed
 
@@ -181,20 +181,6 @@ class AnalystDensityOracle:
         return math.log(self.analyst.prob_normal(x, subset))
 
 
-def make_detector(
-    mode: DetectorMode, egmm: EgmmModel | None = None, analyst: AnalystModel | None = None
-) -> DensityOracle:
-    """Pick the density the explanation methods will consume."""
-    mode = DetectorMode(mode)
-    if mode is DetectorMode.EGMM:
-        if egmm is None:
-            raise ValueError("egmm mode requires a fitted ensemble model")
-        return egmm
-    if analyst is None:
-        raise ValueError("oracle mode requires an analyst")
-    return AnalystDensityOracle(analyst)
-
-
 def _summary(values: list[float], censored_flags: list[bool]) -> MethodSummary:
     n = len(values)
     mean = float(np.mean(values))
@@ -260,7 +246,7 @@ def run_evaluation(
             forest_config or ForestConfig(),
             seed=derive_seed(config.seed, TAG_ANALYST),
         )
-    detector = make_detector(config.detector_mode, egmm=egmm, analyst=analyst)
+    detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
     opt_k = min(k, OPT_ORACLE_SIZE_CAP)
 
     explainers = density_explainers()
@@ -280,11 +266,11 @@ def run_evaluation(
                         analyst,
                         x,
                         explain_random(n, k, seed=derive_seed(config.seed, TAG_RANDOM_SFE, idx, r)),
-                    ).values
+                    )
                     for r in range(config.random_repeats)
                 ]
             else:
-                curves = [certainty_curve(analyst, x, explainers[method](detector, x, k)).values]
+                curves = [certainty_curve(analyst, x, explainers[method](detector, x, k))]
             strict = method is Method.OPT_ORACLE
             scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
             value = float(np.mean([v for v, _ in scored]))

@@ -43,7 +43,6 @@ class ForestConfig:
     tree_count: int = 100
     max_depth: int = 12
     min_leaf: int = 5
-    features_per_split: str = "sqrt"
     seed: int = 0
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class ForestConfig:
             raise ValueError("tree_count must be >= 1")
         if self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("max_depth and min_leaf must be >= 1")
-        if self.features_per_split != "sqrt":
-            raise ValueError(f"unsupported features_per_split rule: {self.features_per_split!r}")
 
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "prob")
@@ -344,7 +341,7 @@ class BaggedForest:
     @classmethod
     def load(cls, path: str | Path) -> "BaggedForest":
         try:
-            with np.load(Path(path), allow_pickle=False) as data:
+            with open(Path(path), "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 return cls(**{name: data[name] for name in NODE_ARRAYS}, n_features=int(data["n_features"]))
         except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
             raise MalformedForest(f"{path}: not a forest file: {exc}") from exc

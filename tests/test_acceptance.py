@@ -14,7 +14,7 @@ import pytest
 from conftest import make_single_deviant_dataset, trapezoid_marginal
 from sfexplain.analyst import AnalystModel, ThresholdDistribution, certainty_curve
 from sfexplain.cli import main as cli_main
-from sfexplain.dataset import BenchmarkSpec, Dataset, MotherSet, sample_benchmark, save_csv
+from sfexplain.dataset import BenchmarkSpec, Dataset, MotherSet, sample_benchmark_split, save_csv
 from sfexplain.density import (
     EgmmConfig,
     GaussianComponent,
@@ -24,12 +24,11 @@ from sfexplain.density import (
     gmm_log_marginal,
 )
 from sfexplain.evaluate import (
-    DetectorMode,
+    AnalystDensityOracle,
     EvalConfig,
     NoAnomaliesSelected,
     _summary,
     explain_opt_oracle,
-    make_detector,
     rank_points,
     run_evaluation,
     select_evaluation_anomalies,
@@ -227,9 +226,7 @@ def test_c4_opt_oracle_dominance():
                 curve = certainty_curve(analyst, x, sfe)
                 for tau in TAUS:
                     checks += 1
-                    if per_tau_mfp_best_probs(row.curve, tau) > per_tau_mfp_curve(
-                        curve.values, tau
-                    ):
+                    if per_tau_mfp_best_probs(row.curve, tau) > per_tau_mfp_curve(curve, tau):
                         violations += 1
     assert checks > 500
     assert violations == 0, f"{violations} dominance violations in {checks} checks"
@@ -258,7 +255,7 @@ def test_c5_oracle_detector_first_feature_identity():
         ranking = rank_points(egmm, dataset)
         selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, 1.0)
         analyst = AnalystModel(dataset, ForestConfig(tree_count=60), seed=case)
-        detector = make_detector(DetectorMode.ORACLE, analyst=analyst)
+        detector = AnalystDensityOracle(analyst)
         for idx in selected:
             x = dataset.points[idx]
             first = explain_seq_marg(detector, x, k=1).order[0]
@@ -308,7 +305,7 @@ def pooled_mother_evaluation(mother, anomaly_class, size, frac, n_benchmarks, se
             target_size=size,
             seed=100 + b,
         )
-        bench = sample_benchmark(mother, spec)
+        bench = sample_benchmark_split(mother, spec)[0]
         config = EvalConfig(
             top_fraction=0.3, random_repeats=100, methods=ALL_SFE_METHODS, seed=seed
         )

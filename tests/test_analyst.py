@@ -7,7 +7,6 @@ import pytest
 from conftest import make_labeled_dataset, make_single_deviant_dataset
 from sfexplain.analyst import (
     AnalystModel,
-    CertaintyCurve,
     ThresholdDistribution,
     certainty_curve,
     expected_mfp,
@@ -22,13 +21,13 @@ UNIFORM = ThresholdDistribution.uniform()
 
 def mfp(curve, tau):
     """Single-threshold MFP of a curve, or None when it is never detected."""
-    value, censored = expected_mfp(curve.values, ThresholdDistribution(support=((tau, 1.0),)))
+    value, censored = expected_mfp(curve, ThresholdDistribution(support=((tau, 1.0),)))
     return None if censored else int(value)
 
 
 def uncensored_expected_mfp(curve, dist):
     """Expected MFP of a curve, or None if any threshold goes undetected."""
-    value, censored = expected_mfp(curve.values, dist)
+    value, censored = expected_mfp(curve, dist)
     return None if censored else value
 
 
@@ -231,15 +230,18 @@ class TestCertaintyCurve:
         analyst = small_analyst(seed=5)
         x = np.full(3, 4.0)
         sfe = Sfe(order=(2, 0, 1), step_scores=(0.0, 0.0, 0.0), method=Method.RANDOM)
-        curve = certainty_curve(analyst, x, sfe, k=1)
-        assert len(curve) == 1
-        assert curve.values[0] == analyst.prob_normal(x, (2,))
+        curve = certainty_curve(analyst, x, sfe)
+        assert len(curve) == 3
+        assert curve[0] == analyst.prob_normal(x, (2,))
 
     def test_values_in_unit_interval(self):
         analyst = small_analyst(seed=6)
-        sfe = Sfe(order=(0, 1, 2), step_scores=(0.0,) * 3, method=Method.RANDOM)
-        curve = certainty_curve(analyst, np.array([2.0, -1.0, 0.5]), sfe)
-        assert all(0.0 <= v <= 1.0 for v in curve.values)
+        x = np.array([2.0, -1.0, 0.5])
+        sfe = Sfe(order=(1, 2, 0), step_scores=(0.0,) * 3, method=Method.RANDOM)
+        curve = certainty_curve(analyst, x, sfe)
+        assert type(curve) is tuple
+        assert curve == tuple(analyst.prob_normal(x, sfe.order[: i + 1]) for i in range(3))
+        assert all(0.0 < v < 1.0 for v in curve)
 
     def test_anomaly_curve_decreases_toward_zero(self):
         # With a single deviant feature revealed first, certainty collapses.
@@ -248,33 +250,29 @@ class TestCertaintyCurve:
         x = data.points[data.labels.argmax()]
         sfe = Sfe(order=(0, 1, 2, 3, 4), step_scores=(0.0,) * 5, method=Method.RANDOM)
         curve = certainty_curve(analyst, x, sfe)
-        assert curve.values[0] <= 0.2
-        assert curve.values[-1] <= 0.2
-
-    def test_rejects_invalid_value(self):
-        with pytest.raises(ValueError):
-            CertaintyCurve(values=(1.2,))
+        assert curve[0] <= 0.2
+        assert curve[-1] <= 0.2
 
 
 class TestMfp:
     def test_first_crossing(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
+        curve = (0.6, 0.25, 0.05)
         assert mfp(curve, 0.3) == 2
 
     def test_lower_threshold_detects_later(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
+        curve = (0.6, 0.25, 0.05)
         assert mfp(curve, 0.1) == 3
 
     def test_not_detected(self):
-        assert mfp(CertaintyCurve(values=(0.6, 0.55)), 0.3) is None
+        assert mfp((0.6, 0.55), 0.3) is None
 
     def test_threshold_is_inclusive(self):
-        assert mfp(CertaintyCurve(values=(0.3,)), 0.3) == 1
+        assert mfp((0.3,), 0.3) == 1
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            curve = CertaintyCurve(values=tuple(rng.random(6)))
+            curve = tuple(rng.random(6))
             taus = sorted(rng.uniform(0.0, 0.5, size=4))
             results = [mfp(curve, t) for t in taus]
             as_inf = [np.inf if r is None else r for r in results]
@@ -282,30 +280,30 @@ class TestMfp:
 
     def test_tau_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            mfp(CertaintyCurve(values=(0.5,)), 0.6)
+            mfp((0.5,), 0.6)
 
 
 class TestExpectedMfp:
     def test_uniform_average(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
+        curve = (0.6, 0.25, 0.05)
         assert uncensored_expected_mfp(curve, UNIFORM) == pytest.approx((3 + 3 + 2) / 3)
 
     def test_immediate_detection(self):
-        assert uncensored_expected_mfp(CertaintyCurve(values=(0.05,)), UNIFORM) == pytest.approx(1.0)
+        assert uncensored_expected_mfp((0.05,), UNIFORM) == pytest.approx(1.0)
 
     def test_degenerate_distribution(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
+        curve = (0.6, 0.25, 0.05)
         point_mass = ThresholdDistribution(support=((0.3, 1.0),))
         assert uncensored_expected_mfp(curve, point_mass) == 2
 
     def test_any_undetected_threshold_gives_none(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.15))
+        curve = (0.6, 0.25, 0.15)
         assert uncensored_expected_mfp(curve, UNIFORM) is None
 
     def test_lies_between_per_tau_extremes(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            curve = CertaintyCurve(values=tuple(rng.random(5) * 0.8))
+            curve = tuple(rng.random(5) * 0.8)
             per_tau = [mfp(curve, t) for t, _ in UNIFORM.support]
             if any(m is None for m in per_tau):
                 continue
@@ -315,13 +313,13 @@ class TestExpectedMfp:
 
 class TestCensoredExpectedMfp:
     def test_censors_at_curve_length_plus_one(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.15))
-        value, censored = expected_mfp(curve.values, UNIFORM)
+        curve = (0.6, 0.25, 0.15)
+        value, censored = expected_mfp(curve, UNIFORM)
         assert censored
         assert value == pytest.approx((4 + 3 + 2) / 3)
 
     def test_uncensored_matches_expected_mfp(self):
-        curve = CertaintyCurve(values=(0.6, 0.25, 0.05))
-        value, censored = expected_mfp(curve.values, UNIFORM)
+        curve = (0.6, 0.25, 0.05)
+        value, censored = expected_mfp(curve, UNIFORM)
         assert not censored
         assert value == sum(p * mfp(curve, t) for t, p in UNIFORM.support)

@@ -157,6 +157,21 @@ class TestExplain:
         assert code == 1
         assert "malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_features, n", [(2, 2.0), (1, True)])
+    def test_model_with_non_integer_n_fails_with_message(self, tmp_path, capsys, n_features, n):
+        rng = np.random.default_rng(6)
+        csv_path, model = self.fit_model(tmp_path, rng, n_features=n_features)
+        payload = json.loads(model.read_text())
+        payload["n"] = n
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "sfe.csv"
+        code = main(["explain", str(model), str(csv_path), "--method", "seqmarg", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "n must be a JSON integer" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("point", ["-1", "9999"])
     def test_point_outside_dataset_rejected(self, tmp_path, capsys, point):
         rng = np.random.default_rng(7)
@@ -387,6 +402,16 @@ class TestRunConfig:
             assert f"error: malformed {section}: " in err
             assert "Traceback" not in err
             assert not out.exists()
+
+    def test_features_per_split_is_an_unknown_key(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_text('{"forest": {"features_per_split": "sqrt"}}')
+        csv_path = tmp_path / "d.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(15))
+        code = main(["fit", str(csv_path), "-o", str(tmp_path / "m.json"), "--config", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown config keys for ForestConfig: ['features_per_split']"]
 
     def test_readme_config_matches_the_dataclasses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -14,7 +14,6 @@ from sfexplain.dataset import (
     NonNumericCell,
     load_csv,
     load_mother_csv,
-    sample_benchmark,
     sample_benchmark_split,
     save_csv,
 )
@@ -200,7 +199,7 @@ class TestSampleBenchmark:
     def test_anomaly_count_is_round_half_up(self):
         mother = make_mother(np.random.default_rng(0), {"n": 200, "a": 30})
         spec = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.05, target_size=100, seed=1)
-        bench = sample_benchmark(mother, spec)
+        bench = sample_benchmark_split(mother, spec)[0]
         assert bench.n_points == 100
         assert bench.n_anomalies == 5
 
@@ -208,13 +207,13 @@ class TestSampleBenchmark:
         mother = make_mother(np.random.default_rng(0), {"n": 200, "a": 30})
         spec = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.05, target_size=50, seed=1)
         # 0.05 * 50 = 2.5 rounds up to 3
-        assert sample_benchmark(mother, spec).n_anomalies == 3
+        assert sample_benchmark_split(mother, spec)[0].n_anomalies == 3
 
     def test_deterministic_given_seed(self):
         mother = make_mother(np.random.default_rng(0), {"n": 200, "a": 30})
         spec = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.1, target_size=80, seed=9)
-        b1 = sample_benchmark(mother, spec)
-        b2 = sample_benchmark(mother, spec)
+        b1 = sample_benchmark_split(mother, spec)[0]
+        b2 = sample_benchmark_split(mother, spec)[0]
         assert (b1.points == b2.points).all()
         assert (b1.labels == b2.labels).all()
 
@@ -222,7 +221,7 @@ class TestSampleBenchmark:
         mother = make_mother(np.random.default_rng(0), {"n": 200, "a": 30})
         s1 = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.1, target_size=80, seed=1)
         s2 = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.1, target_size=80, seed=2)
-        b1, b2 = sample_benchmark(mother, s1), sample_benchmark(mother, s2)
+        b1, b2 = sample_benchmark_split(mother, s1)[0], sample_benchmark_split(mother, s2)[0]
         assert b1.n_points == b2.n_points
         assert b1.n_anomalies == b2.n_anomalies
         assert not (b1.points == b2.points).all()
@@ -231,7 +230,7 @@ class TestSampleBenchmark:
         mother = make_mother(np.random.default_rng(0), {"n": 200, "a": 3})
         spec = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.2, target_size=100, seed=1)
         with pytest.raises(InsufficientPoints) as err:
-            sample_benchmark(mother, spec)
+            sample_benchmark_split(mother, spec)[0]
         assert err.value.group == "anomaly"
         assert err.value.needed == 20
         assert err.value.available == 3
@@ -240,19 +239,19 @@ class TestSampleBenchmark:
         mother = make_mother(np.random.default_rng(0), {"n": 10, "a": 10})
         spec = BenchmarkSpec(anomaly_classes={"zzz"}, anomaly_fraction=0.2, target_size=10, seed=1)
         with pytest.raises(ValueError, match="not present"):
-            sample_benchmark(mother, spec)
+            sample_benchmark_split(mother, spec)[0]
 
     def test_anomaly_classes_must_be_proper_subset(self):
         mother = make_mother(np.random.default_rng(0), {"n": 10, "a": 10})
         spec = BenchmarkSpec(anomaly_classes={"n", "a"}, anomaly_fraction=0.2, target_size=10, seed=1)
         with pytest.raises(ValueError, match="proper subset"):
-            sample_benchmark(mother, spec)
+            sample_benchmark_split(mother, spec)[0]
 
     def test_no_duplicate_mother_rows(self):
         rng = np.random.default_rng(4)
         mother = make_mother(rng, {"n": 60, "a": 40})
         spec = BenchmarkSpec(anomaly_classes={"a"}, anomaly_fraction=0.4, target_size=90, seed=5)
-        bench = sample_benchmark(mother, spec)
+        bench = sample_benchmark_split(mother, spec)[0]
         rows = {tuple(r) for r in bench.points}
         assert len(rows) == bench.n_points
 

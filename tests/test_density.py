@@ -489,6 +489,19 @@ class TestSerialization:
         with pytest.raises(MalformedModelFile):
             load_egmm(path)
 
+    @pytest.mark.parametrize("n", [1.0, True])
+    def test_n_must_be_a_json_integer(self, tmp_path, n):
+        # Both compare equal to a one-feature model's n of 1; only the JSON
+        # type tells them apart.
+        X = np.random.default_rng(86).normal(size=(60, 1))
+        path = tmp_path / "model.json"
+        save_egmm(egmm_fit(X, EgmmConfig(members_per_k=1, component_counts=(2,), seed=1)), path)
+        payload = json.loads(path.read_text())
+        payload["n"] = n
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedModelFile, match="n must be a JSON integer, got " + json.dumps(n)):
+            load_egmm(path)
+
     def test_truncated_file_raises_typed_error(self, tmp_path):
         X = np.random.default_rng(85).normal(size=(60, 2))
         path = tmp_path / "model.json"

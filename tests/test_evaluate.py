@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_labeled_dataset, make_single_deviant_dataset
-from sfexplain.analyst import AnalystModel, ThresholdDistribution, expected_mfp
+from sfexplain.analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
 from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.evaluate import (
+    AnalystDensityOracle,
     CombinatorialBudgetExceeded,
     DetectorMode,
     EvalConfig,
@@ -16,7 +17,6 @@ from sfexplain.evaluate import (
     OptOracleResult,
     OptOracleStep,
     explain_opt_oracle,
-    make_detector,
     run_evaluation,
     select_evaluation_anomalies,
     write_per_point_csv,
@@ -135,17 +135,11 @@ class TestOptOracleMfp:
         assert value == 4
 
 
-class TestMakeDetector:
-    def test_egmm_mode_is_passthrough(self):
-        rng = np.random.default_rng(1)
-        model = egmm_fit(rng.normal(size=(100, 2)), SMALL_EGMM)
-        detector = make_detector(DetectorMode.EGMM, egmm=model)
-        assert detector is model
-
+class TestAnalystDensityOracle:
     def test_oracle_mode_values_are_log_probabilities(self):
         data = make_labeled_dataset(np.random.default_rng(2))
         analyst = AnalystModel(data, SMALL_FOREST, seed=2)
-        detector = make_detector(DetectorMode.ORACLE, analyst=analyst)
+        detector = AnalystDensityOracle(analyst)
         value = detector.log_marginal(np.zeros(3), (0, 1))
         assert value <= 0.0
         assert value == math.log(analyst.prob_normal(np.zeros(3), (0, 1)))
@@ -153,7 +147,7 @@ class TestMakeDetector:
     def test_oracle_mode_first_pick_matches_opt_oracle_singleton(self):
         data = make_single_deviant_dataset(np.random.default_rng(3))
         analyst = AnalystModel(data, SMALL_FOREST, seed=3)
-        detector = make_detector(DetectorMode.ORACLE, analyst=analyst)
+        detector = AnalystDensityOracle(analyst)
         for idx in np.flatnonzero(data.labels)[:10]:
             x = data.points[idx]
             first = explain_seq_marg(detector, x, k=1).order[0]
@@ -222,6 +216,23 @@ class TestRunEvaluation:
         r1 = run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
         r2 = run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
         assert r1 == r2
+
+    @pytest.mark.parametrize("mode", list(DetectorMode))
+    def test_density_methods_explain_with_the_mode_detector(self, mode):
+        # egmm mode explains with the ensemble itself, oracle mode with the
+        # analyst's own log P(normal | x_S).
+        dataset = make_labeled_dataset(np.random.default_rng(14), n_normal=80, n_anomaly=12)
+        egmm = egmm_fit(dataset.points, SMALL_EGMM)
+        analyst = AnalystModel(dataset, SMALL_FOREST, seed=4)
+        config = EvalConfig(
+            top_fraction=0.3, methods=frozenset({Method.SEQ_MARG}), detector_mode=mode, seed=4
+        )
+        report = run_evaluation(dataset, config, egmm=egmm, analyst=analyst)
+        detector = egmm if mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
+        assert report.per_point
+        for row in report.per_point:
+            x = dataset.points[row.point_index]
+            assert row.curve == certainty_curve(analyst, x, explain_seq_marg(detector, x, dataset.n_features))
 
     def test_opt_oracle_dominates_all_methods(self):
         dataset = make_labeled_dataset(

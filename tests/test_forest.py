@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,8 +49,12 @@ class TestForestConfig:
             ForestConfig(tree_count=0)
 
     def test_rejects_unknown_split_rule(self):
-        with pytest.raises(ValueError):
-            ForestConfig(features_per_split="log2")
+        # Candidate features per split follow the fixed sqrt rule; the
+        # features_per_split key is gone, whatever its value.
+        message = r"^unknown config keys for ForestConfig: \['features_per_split'\]$"
+        for rule in ("sqrt", "log2"):
+            with pytest.raises(MalformedConfig, match=message):
+                from_dict(ForestConfig, {"features_per_split": rule})
 
     def test_dict_round_trip(self):
         config = ForestConfig(tree_count=7, max_depth=3, min_leaf=2, seed=5)
@@ -210,6 +216,9 @@ class TestGrower:
             BaggedForest(feature, threshold, [1, 1, 2], [1, 1, 2], prob, n_features=1)
         with pytest.raises(MalformedForest):
             BaggedForest(feature, threshold[:2], [1, 1, 2], [2, 1, 2], prob, n_features=1)
+        for bad in (0.0, 1.0, 1.2):  # leaf probabilities must lie in (0, 1)
+            with pytest.raises(MalformedForest, match=r"\(0, 1\)"):
+                BaggedForest(feature, threshold, [1, 1, 2], [2, 1, 2], [0.5, 0.5, bad], n_features=1)
 
 
 class TestSerialization:
@@ -232,7 +241,13 @@ class TestSerialization:
         BaggedForest.fit(X, y, ForestConfig(tree_count=3), seed=1).save(path)
         assert [p.name for p in tmp_path.iterdir()] == ["forest.npz"]  # no temporary left
         data = path.read_bytes()
-        for cut in (0, 10, len(data) // 2, len(data) - 1):
-            path.write_bytes(data[:cut])
-            with pytest.raises(MalformedForest):
-                BaggedForest.load(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for cut in (0, 10, 60, len(data) // 2, len(data) - 1):
+                path.write_bytes(data[:cut])
+                with pytest.raises(MalformedForest):
+                    BaggedForest.load(path)
+            gc.collect()
+        # A truncated zip (60 bytes: a header, then nothing) must not leave
+        # the file open.
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
