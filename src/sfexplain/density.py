@@ -519,6 +519,21 @@ def save_egmm(model: EgmmModel, path: str | Path) -> None:
         fh.write("\n")
 
 
+def _json_numbers(name: str, value, ndim: int) -> np.ndarray:
+    """value, JSON numbers nested in ndim levels of lists, as float64;
+    anything else, bools and strings included, raises TypeError naming name."""
+
+    def numeric(v, depth):
+        if depth:
+            return isinstance(v, list) and all(numeric(u, depth - 1) for u in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not numeric(value, ndim):
+        shape = ("a JSON number", "a list of JSON numbers", "a list of lists of JSON numbers")[ndim]
+        raise TypeError(f"{name} must be {shape}")
+    return np.array(value, dtype=np.float64)
+
+
 def load_egmm(path: str | Path) -> EgmmModel:
     """Read a model written by save_egmm; raise MalformedModelFile if it is not one."""
     try:
@@ -538,9 +553,9 @@ def load_egmm(path: str | Path) -> EgmmModel:
             GmmModel(
                 components=tuple(
                     GaussianComponent(
-                        weight=comp["weight"],
-                        mean=np.array(comp["mean"]),
-                        covariance=np.array(comp["covariance"]),
+                        weight=float(_json_numbers("weight", comp["weight"], 0)),
+                        mean=_json_numbers("mean", comp["mean"], 1),
+                        covariance=_json_numbers("covariance", comp["covariance"], 2),
                     )
                     for comp in member["components"]
                 ),
@@ -552,8 +567,8 @@ def load_egmm(path: str | Path) -> EgmmModel:
         return EgmmModel(
             members=members,
             n=n,
-            shift=np.array(payload["shift"]),
-            scale=np.array(payload["scale"]),
+            shift=_json_numbers("shift", payload["shift"], 1),
+            scale=_json_numbers("scale", payload["scale"], 1),
             config=config,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,7 +7,9 @@ and their predictions do not depend on the order rows arrive in.
 
 All trees of a forest grow together, one depth at a time, from features
 sorted once per tree (the presort-once, breadth-first growth of SLIQ, Mehta
-et al. 1996). A fitted forest is five flat node arrays. Leaves point to
+et al. 1996). A fitted forest is three flat node arrays, 16 bytes per node:
+a feature, a value (the threshold at an internal node, the leaf probability
+at a leaf) and a left child whose sibling is the next node. Leaves point to
 themselves, so prediction evaluates every node's test at once and then
 follows the child pointers by repeated squaring.
 
@@ -52,17 +54,26 @@ class ForestConfig:
             raise ValueError("max_depth and min_leaf must be >= 1")
 
 
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "prob")
+NODE_ARRAYS = ("feature", "value", "left")
+_INT32 = np.iinfo(np.int32)
 
 
 class TreeNodes(NamedTuple):
     """One tree's slice of the forest's node arrays; child indices are forest-wide."""
 
     feature: np.ndarray
-    threshold: np.ndarray
+    value: np.ndarray
     left: np.ndarray
-    right: np.ndarray
-    prob: np.ndarray
+
+
+def _int32_nodes(name: str, a) -> np.ndarray:
+    """a as int32, when it holds integers (not bools) that int32 represents."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise MalformedForest(f"{name} must be an integer array, got dtype {a.dtype}")
+    if a.size and (a.min() < _INT32.min or a.max() > _INT32.max):
+        raise MalformedForest(f"{name} holds values outside int32")
+    return a.astype(np.int32, copy=False)
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -160,10 +171,8 @@ def grow_forest(
         level = {
             "tree": tree,
             "feature": np.full(K, -1),
-            "threshold": np.zeros(K),
-            "left": ids.copy(),
-            "right": ids.copy(),
-            "prob": (sizes - n_anomaly + 1.0) / (sizes + 2.0),
+            "value": (sizes - n_anomaly + 1.0) / (sizes + 2.0),
+            "left": ids,
         }
         levels.append(level)
         first_id += K
@@ -180,9 +189,8 @@ def grow_forest(
         feature, threshold = feature[splits], threshold[splits]
         S = len(parents)
         level["feature"][parents] = feature
-        level["threshold"][parents] = threshold
+        level["value"][parents] = threshold
         level["left"][parents] = first_id + 2 * np.arange(S)
-        level["right"][parents] = first_id + 2 * np.arange(S) + 1
 
         # Route each parent's samples to its children: a stable partition of
         # every feature's order by the parent's test, computed with cumsums.
@@ -204,63 +212,62 @@ def grow_forest(
         tree = np.repeat(tree[parents], 2)
 
     nodes = {name: np.concatenate([level[name] for level in levels]) for name in levels[0]}
-    # Store each tree's nodes contiguously, in breadth-first order.
+    # Store each tree's nodes contiguously, in breadth-first order. Sibling
+    # pairs stay adjacent: they are adjacent in the level and share a tree.
     perm = np.argsort(nodes.pop("tree"), kind="stable")
     renumber = np.empty_like(perm)
     renumber[perm] = np.arange(len(perm))
     return BaggedForest(
         feature=nodes["feature"][perm],
-        threshold=nodes["threshold"][perm],
+        value=nodes["value"][perm],
         left=renumber[nodes["left"][perm]],
-        right=renumber[nodes["right"][perm]],
-        prob=nodes["prob"][perm],
         n_features=d,
     )
 
 
 class BaggedForest:
-    """Ensemble of CART trees stored as five flat node arrays.
+    """Ensemble of CART trees stored as three flat node arrays.
 
-    Internal nodes hold a feature, a threshold (go left when the value is
-    below it) and two child indices greater than their own; a leaf has
-    feature -1 and points to itself. Every node holds the Laplace-smoothed
-    normal probability of its training samples, which is read at leaves.
-    Trees are contiguous and start at the nodes no other node points to.
-    Prediction averages leaf probabilities across trees.
+    An internal node holds a feature, a value (its threshold: go left when
+    the feature is below it) and a left child greater than its own index;
+    the right child is left + 1. A leaf has feature -1, points to itself and
+    holds the Laplace-smoothed normal probability of its training samples as
+    its value. Trees are contiguous and start at the nodes no other node
+    points to. Prediction averages leaf probabilities across trees.
     """
 
-    def __init__(self, feature, threshold, left, right, prob, n_features: int):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.prob = np.asarray(prob, dtype=np.float64)
+    def __init__(self, feature, value, left, n_features: int):
+        self.feature = _int32_nodes("feature", feature)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.left = _int32_nodes("left", left)
+        if isinstance(n_features, (bool, np.bool_)) or not isinstance(n_features, (int, np.integer)):
+            raise MalformedForest(f"n_features must be an integer, got {n_features!r}")
         self.n_features = int(n_features)
         size = self.feature.size
         if self.n_features < 1 or size < 1 or any(
             getattr(self, name).shape != (size,) for name in NODE_ARRAYS
         ):
             raise MalformedForest("node arrays must be nonempty, flat and of equal length")
+        if np.isnan(self.value).any():
+            raise MalformedForest("node values must not be NaN")
         index = np.arange(size)
         internal = self.feature >= 0
-        children_ok = np.where(
-            internal,
-            (self.left > index) & (self.left < size) & (self.right > index) & (self.right < size),
-            (self.left == index) & (self.right == index),
-        )
+        children_ok = np.where(internal, (self.left > index) & (self.left < size - 1), self.left == index)
         if not children_ok.all() or (self.feature >= self.n_features).any() or (self.feature < -1).any():
             raise MalformedForest("node arrays do not describe a forest")
-        parents = np.bincount(np.concatenate([self.left[internal], self.right[internal]]), minlength=size)
+        left = self.left[internal]
+        parents = np.bincount(np.concatenate([left, left + 1]), minlength=size)
         if (parents > 1).any():
             raise MalformedForest("a node has more than one parent")
-        if not ((self.prob > 0.0) & (self.prob < 1.0)).all():
+        leaf_values = self.value[~internal]
+        if not ((leaf_values > 0.0) & (leaf_values < 1.0)).all():
             raise MalformedForest("leaf probabilities must lie in (0, 1)")
         self.roots = np.flatnonzero(parents == 0)
         # Squarings of the one-step map that take every root to its leaf:
         # enough for 2**squarings >= the deepest leaf's depth.
         frontier, depth = self.roots, 0
         while len(frontier := frontier[internal[frontier]]):
-            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = np.concatenate([self.left[frontier], self.left[frontier] + 1])
             depth += 1
         self._squarings = math.ceil(math.log2(depth)) if depth else 0
 
@@ -316,13 +323,15 @@ class BaggedForest:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
         offset = np.arange(0, len(X) * len(self.feature), len(self.feature))[:, None]
-        # step[i] is the node one test below node i, per row; each squaring
-        # doubles the number of steps it takes.
-        step = (np.where(X.take(self.feature, axis=1) < self.threshold, self.left, self.right) + offset).ravel()
+        # step[i] is the node one test below node i, per row: left, or its
+        # sibling left + 1 unless the value is below the threshold (a NaN
+        # goes right). Each squaring doubles the number of steps it takes.
+        goes_right = (self.feature >= 0) & ~(X.take(self.feature, axis=1) < self.value)
+        step = (self.left + goes_right + offset).ravel()
         for _ in range(self._squarings):
             step = step[step]
         leaf = step[self.roots + offset] - offset
-        return self.prob[leaf].sum(axis=1) / len(self.roots)
+        return self.value[leaf].sum(axis=1) / len(self.roots)
 
     # -- serialization ------------------------------------------------------
 
@@ -342,6 +351,6 @@ class BaggedForest:
     def load(cls, path: str | Path) -> "BaggedForest":
         try:
             with open(Path(path), "rb") as fh, np.load(fh, allow_pickle=False) as data:
-                return cls(**{name: data[name] for name in NODE_ARRAYS}, n_features=int(data["n_features"]))
+                return cls(**{name: data[name] for name in NODE_ARRAYS}, n_features=data["n_features"][()])
         except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
             raise MalformedForest(f"{path}: not a forest file: {exc}") from exc

@@ -135,3 +135,19 @@ def make_single_deviant_dataset(rng, n_normal=300, n_anomaly=40, n_features=5, d
     labels = np.concatenate([np.zeros(n_normal, bool), np.ones(n_anomaly, bool)])
     names = tuple(f"f{i}" for i in range(n_features))
     return Dataset(points=points, labels=labels, feature_names=names)
+
+
+def save_five_array_forest(forest, path) -> None:
+    """Write a fitted forest in the earlier five-array .npz layout (feature,
+    threshold, left, right, prob), which BaggedForest.load rejects."""
+    internal = forest.feature >= 0
+    index = np.arange(len(forest.feature), dtype=np.int32)
+    np.savez(
+        path,
+        n_features=forest.n_features,
+        feature=forest.feature,
+        threshold=np.where(internal, forest.value, 0.0),
+        left=forest.left,
+        right=np.where(internal, forest.left + 1, index),
+        prob=np.where(internal, 0.5, forest.value),
+    )

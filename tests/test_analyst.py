@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import make_labeled_dataset, make_single_deviant_dataset
+from conftest import make_labeled_dataset, make_single_deviant_dataset, save_five_array_forest
 from sfexplain.analyst import (
     AnalystModel,
     ThresholdDistribution,
@@ -152,6 +152,26 @@ class TestCache:
             assert "retraining" in caplog.text
             assert path.read_bytes() == good
             caplog.clear()
+
+    def test_five_array_cache_file_is_retrained_once(self, tmp_path, caplog):
+        # A cache file written in the earlier five-array layout is logged,
+        # retrained and overwritten; the next analyst loads the new file.
+        first = small_analyst(cache_dir=tmp_path)
+        expected = first.prob_normal(np.zeros(3), (0, 1))
+        (path,) = tmp_path.iterdir()
+        good = path.read_bytes()
+        save_five_array_forest(first.classifier_for((0, 1)), path)
+        analyst = small_analyst(cache_dir=tmp_path)
+        with caplog.at_level("WARNING", logger="sfexplain.analyst"):
+            assert analyst.prob_normal(np.zeros(3), (0, 1)) == expected
+            assert analyst.prob_normal(np.ones(3), (0, 1)) == first.prob_normal(np.ones(3), (0, 1))
+        assert (analyst.trained_count, analyst.loaded_count) == (1, 0)
+        (record,) = caplog.records
+        assert record.levelname == "WARNING" and "retraining" in record.getMessage()
+        assert path.read_bytes() == good
+        reader = small_analyst(cache_dir=tmp_path)
+        assert reader.prob_normal(np.zeros(3), (0, 1)) == expected
+        assert (reader.trained_count, reader.loaded_count) == (0, 1)
 
     def test_two_analysts_share_one_cache_directory(self, tmp_path):
         subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]

@@ -502,6 +502,26 @@ class TestSerialization:
         with pytest.raises(MalformedModelFile, match="n must be a JSON integer, got " + json.dumps(n)):
             load_egmm(path)
 
+    @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
+    @pytest.mark.parametrize("field", ["weight", "mean", "covariance", "shift", "scale"])
+    def test_numbers_must_be_json_numbers(self, tmp_path, field, bad):
+        # A bool or a numeric string would pass np.array's float cast (true
+        # as 1.0, "1" as 1.0); only the JSON type tells them apart.
+        X = np.random.default_rng(85).normal(size=(60, 2))
+        path = tmp_path / "model.json"
+        save_egmm(egmm_fit(X, EgmmConfig(members_per_k=1, component_counts=(1,), seed=1)), path)
+        payload = json.loads(path.read_text())
+        component = payload["members"][0]["components"][0]
+        if field == "weight":
+            component["weight"] = bad
+        elif field == "covariance":
+            component["covariance"][1][1] = bad
+        else:
+            (component if field == "mean" else payload)[field][0] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedModelFile, match=f"{field} must be a "):
+            load_egmm(path)
+
     def test_truncated_file_raises_typed_error(self, tmp_path):
         X = np.random.default_rng(85).normal(size=(60, 2))
         path = tmp_path / "model.json"

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import save_five_array_forest
 from sfexplain.config import MalformedConfig, from_dict
 from sfexplain.forest import (
     BaggedForest,
@@ -148,13 +149,13 @@ class TestGrower:
                 node, reach, depth = stack.pop()
                 xs, ys = X[reach], y[reach]
                 n, n_anomaly = len(ys), int(ys.sum())
-                assert forest.prob[node] == (n - n_anomaly + 1.0) / (n + 2.0)
                 p = n_anomaly / n if n else 0.0
                 gate = 2.0 * p * (1.0 - p) - 1e-12
                 cuts = valid_cuts(xs, ys, config.min_leaf)
                 lowest = min((c for _, _, c in cuts), default=np.inf)
                 f = forest.feature[node]
                 if f < 0:
+                    assert forest.value[node] == (n - n_anomaly + 1.0) / (n + 2.0)
                     assert (
                         depth == config.max_depth
                         or n < 2 * config.min_leaf
@@ -163,11 +164,11 @@ class TestGrower:
                     )
                     continue
                 checked += 1
-                goes_left = xs[:, f] < forest.threshold[node]
+                goes_left = xs[:, f] < forest.value[node]
                 assert weighted_gini(goes_left, ys) == lowest < gate
-                assert forest.threshold[node] == next(t for g, t, c in cuts if g == f and c == lowest)
+                assert forest.value[node] == next(t for g, t, c in cuts if g == f and c == lowest)
                 stack.append((int(forest.left[node]), reach[goes_left], depth + 1))
-                stack.append((int(forest.right[node]), reach[~goes_left], depth + 1))
+                stack.append((int(forest.left[node]) + 1, reach[~goes_left], depth + 1))
         assert checked >= 5
 
     def test_node_count_sums_over_trees(self):
@@ -183,16 +184,15 @@ class TestGrower:
         # leaf, its right child 2k + 2 the next test; 23 and 24 sit at depth 12.
         size = 25
         feature = np.full(size, -1)
-        threshold = np.zeros(size)
-        left, right = np.arange(size), np.arange(size)
+        value = (np.arange(size) + 1.0) / 30.0
+        left = np.arange(size)
         for k in range(12):
             feature[2 * k] = 0
-            threshold[2 * k] = k + 0.5
-            left[2 * k], right[2 * k] = 2 * k + 1, 2 * k + 2
-        prob = (np.arange(size) + 1.0) / 30.0
-        forest = BaggedForest(feature, threshold, left, right, prob, n_features=1)
+            value[2 * k] = k + 0.5
+            left[2 * k] = 2 * k + 1
+        forest = BaggedForest(feature, value, left, n_features=1)
         X = np.arange(13.0).reshape(-1, 1)
-        expected = prob[[2 * k + 1 for k in range(12)] + [24]]
+        expected = value[[2 * k + 1 for k in range(12)] + [24]]
         np.testing.assert_array_equal(forest.prob_normal_many(X), expected)
         assert [forest.prob_normal(x) for x in X] == expected.tolist()
 
@@ -206,19 +206,76 @@ class TestGrower:
         assert batch.tolist() == [forest.prob_normal(x) for x in probe]
 
     def test_rejects_node_arrays_that_are_not_a_forest(self):
-        feature, threshold, prob = np.array([0, -1, -1]), np.zeros(3), np.full(3, 0.5)
-        BaggedForest(feature, threshold, [1, 1, 2], [2, 1, 2], prob, n_features=1)
+        feature, value = np.array([0, -1, -1]), np.full(3, 0.5)
+        BaggedForest(feature, value, [1, 1, 2], n_features=1)
         with pytest.raises(MalformedForest):  # a child before its parent
-            BaggedForest(feature, threshold, [1, 1, 2], [0, 1, 2], prob, n_features=1)
+            BaggedForest([-1, 0, -1], value, [0, 0, 2], n_features=1)
         with pytest.raises(MalformedForest):  # a leaf pointing elsewhere
-            BaggedForest(feature, threshold, [1, 2, 2], [2, 1, 2], prob, n_features=1)
-        with pytest.raises(MalformedForest):  # both children the same node
-            BaggedForest(feature, threshold, [1, 1, 2], [1, 1, 2], prob, n_features=1)
+            BaggedForest(feature, value, [1, 2, 2], n_features=1)
+        with pytest.raises(MalformedForest):  # the right child past the end
+            BaggedForest(feature, value, [2, 1, 2], n_features=1)
+        with pytest.raises(MalformedForest, match="more than one parent"):
+            BaggedForest([0, 0, -1, -1], np.full(4, 0.5), [1, 2, 2, 3], n_features=1)
         with pytest.raises(MalformedForest):
-            BaggedForest(feature, threshold[:2], [1, 1, 2], [2, 1, 2], prob, n_features=1)
+            BaggedForest(feature, value[:2], [1, 1, 2], n_features=1)
+        with pytest.raises(MalformedForest):  # a feature the rows do not have
+            BaggedForest([1, -1, -1], value, [1, 1, 2], n_features=1)
         for bad in (0.0, 1.0, 1.2):  # leaf probabilities must lie in (0, 1)
             with pytest.raises(MalformedForest, match=r"\(0, 1\)"):
-                BaggedForest(feature, threshold, [1, 1, 2], [2, 1, 2], [0.5, 0.5, bad], n_features=1)
+                BaggedForest(feature, [0.5, 0.5, bad], [1, 1, 2], n_features=1)
+        # An internal node's value is its threshold, which may lie anywhere.
+        BaggedForest(feature, [7.5, 0.5, 0.5], [1, 1, 2], n_features=1)
+
+    # Each of these once built a forest that predicted: a float feature was
+    # truncated, a large child index wrapped in the int32 cast, a bool
+    # feature passed as 0, and a NaN threshold sent every row right.
+    @pytest.mark.parametrize(
+        "feature, value, left, n_features, message",
+        [
+            ([0.9, -1.0, -1.0], [0.0, 0.5, 0.5], [1, 1, 2], 1, "feature must be an integer array"),
+            ([False, True, True], [0.0, 0.5, 0.5], [1, 1, 2], 1, "feature must be an integer array"),
+            ([0, -1, -1], [0.0, 0.5, 0.5], [1.0, 1.0, 2.0], 1, "left must be an integer array"),
+            ([0, -1, -1], [0.0, 0.5, 0.5], [2**32 + 1, 1, 2], 1, "left holds values outside int32"),
+            ([0, -1, -1], [np.nan, 0.5, 0.5], [1, 1, 2], 1, "must not be NaN"),
+            ([0, -1, -1], [0.0, 0.5, 0.5], [1, 1, 2], 1.0, "n_features must be an integer"),
+            ([0, -1, -1], [0.0, 0.5, 0.5], [1, 1, 2], True, "n_features must be an integer"),
+            ([0, -1, -1], [0.0, 0.5, 0.5], [1, 1, 2], np.array([1]), "n_features must be an integer"),
+        ],
+        ids=[
+            "float-feature", "bool-feature", "float-left", "left-wraps-in-int32", "nan-threshold",
+            "float-n-features", "bool-n-features", "array-n-features",
+        ],
+    )
+    def test_rejects_mistyped_node_arrays(self, feature, value, left, n_features, message):
+        with pytest.raises(MalformedForest, match=message):
+            BaggedForest(feature, value, left, n_features=n_features)
+
+    def test_predictions_match_the_five_array_layout(self):
+        # Recorded from the five-array layout (separate threshold, right
+        # child and per-node probability); the rows with NaN go right.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(150, 3))
+        y = rng.random(150) < 0.25 + 0.5 * (X[:, 0] > 0.5)
+        forest = BaggedForest.fit(X, y, ForestConfig(tree_count=9, max_depth=6, min_leaf=3), seed=21)
+        probe = np.array(
+            [
+                [-1.0, -1.62, 0.47],
+                [1.2, -0.77, 0.36],
+                [0.79, 0.89, -0.46],
+                [0.59, -0.09, -0.97],
+                [np.nan, 0.35, -0.96],
+                [np.nan, np.nan, np.nan],
+            ]
+        )
+        assert len(forest.feature) == 285
+        assert [v.hex() for v in forest.prob_normal_many(probe).tolist()] == [
+            "0x1.1e96ccfb08942p-1",
+            "0x1.f1b10b8cd7d54p-3",
+            "0x1.7266eba365b22p-3",
+            "0x1.86705e50115f4p-2",
+            "0x1.600f5c481b565p-1",
+            "0x1.f754caa1ff755p-2",
+        ]
 
 
 class TestSerialization:
@@ -251,3 +308,24 @@ class TestSerialization:
         # A truncated zip (60 bytes: a header, then nothing) must not leave
         # the file open.
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_five_array_file_is_malformed(self, tmp_path):
+        # Files in the earlier layout carry no value array; they are not read.
+        rng = np.random.default_rng(7)
+        X, y = separable_1d(rng)
+        path = tmp_path / "forest.npz"
+        save_five_array_forest(BaggedForest.fit(X, y, ForestConfig(tree_count=3), seed=1), path)
+        with pytest.raises(MalformedForest, match="not a forest file"):
+            BaggedForest.load(path)
+
+    @pytest.mark.parametrize("field", ["feature", "left", "value", "n_features"])
+    def test_wrongly_typed_array_in_file_is_malformed(self, tmp_path, field):
+        rng = np.random.default_rng(8)
+        X, y = separable_1d(rng)
+        forest = BaggedForest.fit(X, y, ForestConfig(tree_count=3), seed=1)
+        arrays = {"n_features": forest.n_features, "feature": forest.feature, "value": forest.value, "left": forest.left}
+        arrays[field] = np.full_like(arrays[field], np.nan, dtype=np.float64)
+        path = tmp_path / "forest.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(MalformedForest):
+            BaggedForest.load(path)
