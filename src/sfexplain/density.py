@@ -112,9 +112,6 @@ class GmmModel:
             if c.mean.size != self.n:
                 raise ValueError("all components must have the model's dimensionality")
 
-    def log_marginal(self, x: np.ndarray, subset: Iterable[int]) -> float:
-        return gmm_log_marginal(self, x, subset)
-
 
 @dataclass(frozen=True)
 class EgmmConfig:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -110,22 +111,6 @@ class EvaluationReport:
         return method.value + ("*" if starred else "")
 
 
-@dataclass(frozen=True)
-class OptOracleStep:
-    size: int
-    subset: tuple[int, ...]
-    prob_normal: float
-
-
-@dataclass(frozen=True)
-class OptOracleResult:
-    steps: tuple[OptOracleStep, ...]
-
-    @property
-    def best_probs(self) -> tuple[float, ...]:
-        return tuple(s.prob_normal for s in self.steps)
-
-
 def select_evaluation_anomalies(
     ranking: Sequence[int], labels: np.ndarray, top_fraction: float
 ) -> list[int]:
@@ -144,11 +129,15 @@ def select_evaluation_anomalies(
     return selected
 
 
-def explain_opt_oracle(analyst: AnalystModel, x: np.ndarray, max_size: int) -> OptOracleResult:
-    """For each size i, exhaustively find the subset minimizing analyst certainty.
+def explain_opt_oracle(
+    analyst: AnalystModel, x: np.ndarray, max_size: int
+) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """For each size 1..max_size, the subset minimizing analyst certainty.
 
-    Subsets of different sizes need not be nested. Enumeration is guarded by
-    a total budget on the number of analyst queries.
+    Returns one (subset, prob_normal) pair per size. Each size keeps the first
+    best subset in ``combinations`` order; subsets of different sizes need
+    not be nested. Enumeration is guarded by a total budget on the number of
+    analyst queries.
     """
     n = analyst.n_features
     if not 1 <= max_size <= n:
@@ -158,17 +147,11 @@ def explain_opt_oracle(analyst: AnalystModel, x: np.ndarray, max_size: int) -> O
         raise CombinatorialBudgetExceeded(
             f"{total} subsets exceed the budget of {OPT_ORACLE_BUDGET}"
         )
-    steps = []
+    best = []
     for size in range(1, max_size + 1):
-        best_subset: tuple[int, ...] | None = None
-        best_prob = math.inf
-        for subset in combinations(range(n), size):
-            prob = analyst.prob_normal(x, subset)
-            if prob < best_prob:
-                best_prob = prob
-                best_subset = subset
-        steps.append(OptOracleStep(size=size, subset=best_subset, prob_normal=best_prob))
-    return OptOracleResult(steps=tuple(steps))
+        scored = ((s, analyst.prob_normal(x, s)) for s in combinations(range(n), size))
+        best.append(min(scored, key=itemgetter(1)))
+    return tuple(best)
 
 
 class AnalystDensityOracle:
@@ -259,7 +242,7 @@ def run_evaluation(
         x = dataset.points[idx]
         for method in values:
             if method is Method.OPT_ORACLE:
-                curves = [explain_opt_oracle(analyst, x, opt_k).best_probs]
+                curves = [tuple(p for _, p in explain_opt_oracle(analyst, x, opt_k))]
             elif method is Method.RANDOM:
                 curves = [
                     certainty_curve(

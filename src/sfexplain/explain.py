@@ -10,6 +10,11 @@ All objectives are evaluated in log space, which preserves every argmin and
 argmax. The independent-dropout scores are density differences, so those are
 rescaled back out of log space with a shared max subtraction before the sign
 of the difference matters.
+
+Every method keeps the first best candidate, in ascending index order: the
+greedy steps take ``min`` or ``max`` over (candidate, score) pairs, and the
+independent methods sort by (score, index). A log density of -inf is a valid
+score and ties like any other.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -112,18 +118,11 @@ def explain_seq_marg(f: DensityOracle, x: np.ndarray, k: int | None = None) -> S
     k = _check_length(n, k)
     chosen: list[int] = []
     scores: list[float] = []
-    remaining = list(range(n))
     for _ in range(k):
-        best_j = -1
-        best_val = math.inf
-        for j in remaining:
-            val = f.log_marginal(x, (*chosen, j))
-            if val < best_val:
-                best_val = val
-                best_j = j
-        chosen.append(best_j)
-        scores.append(best_val)
-        remaining.remove(best_j)
+        scored = ((j, f.log_marginal(x, (*chosen, j))) for j in range(n) if j not in chosen)
+        j, score = min(scored, key=itemgetter(1))
+        chosen.append(j)
+        scores.append(score)
     return Sfe(order=tuple(chosen), step_scores=tuple(scores), method=Method.SEQ_MARG)
 
 
@@ -133,7 +132,8 @@ def explain_ind_do(f: DensityOracle, x: np.ndarray, k: int | None = None) -> Sfe
     Each feature's score is the density of the point with that one feature
     removed minus the full-joint density, computed in density space. A shared
     max subtraction keeps the differences comparable when all densities
-    underflow; the stored scores are the rescaled real differences.
+    underflow; the stored scores are the rescaled real differences. When
+    every log density is -inf, every score is 0.0.
     """
     n = len(x)
     if n < 2:
@@ -142,6 +142,8 @@ def explain_ind_do(f: DensityOracle, x: np.ndarray, k: int | None = None) -> Sfe
     full = f.log_marginal(x, tuple(range(n)))
     dropped = [f.log_marginal(x, tuple(t for t in range(n) if t != j)) for j in range(n)]
     anchor = max(dropped + [full])
+    if anchor == -math.inf:
+        anchor = 0.0  # every density is 0.0, so every score is 0.0
     scaled = [math.exp(a - anchor) - math.exp(full - anchor) for a in dropped]
     rescale = math.exp(anchor)
     order = sorted(range(n), key=lambda j: (-scaled[j], j))[:k]
@@ -167,23 +169,15 @@ def explain_seq_do(f: DensityOracle, x: np.ndarray, k: int | None = None) -> Sfe
     chosen: list[int] = []
     scores: list[float] = []
     remaining = list(range(n))
-    for _ in range(k):
-        if len(remaining) == 1:
-            chosen.append(remaining[0])
-            scores.append(math.nan)
-            remaining.clear()
-            break
-        best_j = -1
-        best_val = -math.inf
-        for j in remaining:
-            complement = tuple(t for t in remaining if t != j)
-            val = f.log_marginal(x, complement)
-            if val > best_val:
-                best_val = val
-                best_j = j
-        chosen.append(best_j)
-        scores.append(best_val)
-        remaining.remove(best_j)
+    for _ in range(min(k, n - 1)):
+        scored = ((j, f.log_marginal(x, tuple(t for t in remaining if t != j))) for j in remaining)
+        j, score = max(scored, key=itemgetter(1))
+        chosen.append(j)
+        scores.append(score)
+        remaining.remove(j)
+    if k == n:
+        chosen.append(remaining[0])
+        scores.append(math.nan)
     return Sfe(order=tuple(chosen), step_scores=tuple(scores), method=Method.SEQ_DO)
 
 

@@ -238,7 +238,10 @@ class BaggedForest:
 
     def __init__(self, feature, value, left, n_features: int):
         self.feature = _int32_nodes("feature", feature)
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        if value.dtype.kind != "f":
+            raise MalformedForest(f"value must be a float array, got dtype {value.dtype}")
+        self.value = value.astype(np.float64, copy=False)
         self.left = _int32_nodes("left", left)
         if isinstance(n_features, (bool, np.bool_)) or not isinstance(n_features, (int, np.integer)):
             raise MalformedForest(f"n_features must be an integer, got {n_features!r}")

@@ -7,6 +7,12 @@ from scipy.stats import multivariate_normal
 
 from sfexplain.dataset import Dataset
 
+# numpy 2.0 renamed trapz to trapezoid, and later releases dropped trapz.
+try:
+    trapezoid = np.trapezoid
+except AttributeError:
+    trapezoid = np.trapz
+
 
 class GaussianOracle:
     """Analytic multivariate normal oracle built on scipy.stats.
@@ -112,7 +118,7 @@ def trapezoid_marginal(weights, means, covs, x, keep, drop, points_per_dim=401):
         dens += w * multivariate_normal.pdf(full, mean=m, cov=c)
     dens = dens.reshape([points_per_dim] * len(drop))
     for axis_values in reversed(axes):
-        dens = np.trapezoid(dens, x=axis_values, axis=-1)
+        dens = trapezoid(dens, x=axis_values, axis=-1)
     return float(dens)
 
 

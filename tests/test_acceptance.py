@@ -259,7 +259,8 @@ def test_c5_oracle_detector_first_feature_identity():
         for idx in selected:
             x = dataset.points[idx]
             first = explain_seq_marg(detector, x, k=1).order[0]
-            best = explain_opt_oracle(analyst, x, 1).steps[0].subset[0]
+            [(subset, _)] = explain_opt_oracle(analyst, x, 1)
+            best = subset[0]
             assert first == best, f"point {idx}: {first} != {best}"
             matched += 1
             if matched >= 100:

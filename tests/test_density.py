@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError
 from scipy.stats import multivariate_normal
 
-from conftest import random_spd, trapezoid_marginal
+from conftest import random_spd, trapezoid, trapezoid_marginal
 from sfexplain.dataset import Dataset
 import sfexplain.density as density
 from sfexplain.density import (
@@ -247,7 +247,7 @@ class TestGmmLogMarginal:
         highs = [m[0] + 8 * math.sqrt(c[0, 0]) for m, c in zip(means, covs)]
         grid = np.linspace(min(lows), max(highs), 2001)
         dens = [math.exp(gmm_log_marginal(model, np.array([g, 0.0]), [0])) for g in grid]
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_marginalization_consistency(self):
         # Integrating the {0,1} marginal over feature 1 matches the {0} marginal.
@@ -262,7 +262,7 @@ class TestGmmLogMarginal:
             probe = x.copy()
             probe[1] = g
             dens.append(math.exp(gmm_log_marginal(model, probe, [0, 1])))
-        integrated = np.trapezoid(dens, grid)
+        integrated = trapezoid(dens, grid)
         assert integrated == pytest.approx(math.exp(gmm_log_marginal(model, x, [0])), rel=1e-3)
 
     def test_empty_subset_rejected(self):
@@ -387,7 +387,7 @@ class TestEgmmLogMarginal:
         model = egmm_fit(X, EgmmConfig(members_per_k=2, component_counts=(1,), seed=4))
         grid = np.linspace(-8000, 8000, 4001)
         dens = [math.exp(egmm_log_marginal(model, np.array([g, 0.0]), [0])) for g in grid]
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestRankPoints:

@@ -14,8 +14,6 @@ from sfexplain.evaluate import (
     DetectorMode,
     EvalConfig,
     NoAnomaliesSelected,
-    OptOracleResult,
-    OptOracleStep,
     explain_opt_oracle,
     run_evaluation,
     select_evaluation_anomalies,
@@ -77,9 +75,13 @@ class TestOptOracle:
     def test_size_one_is_best_singleton(self):
         probs = {(0,): 0.9, (1,): 0.2, (2,): 0.5}
         stub = StubAnalyst(3, lambda s: probs.get(s, 0.4))
-        result = explain_opt_oracle(stub, np.zeros(3), 1)
-        assert result.steps[0].subset == (1,)
-        assert result.steps[0].prob_normal == 0.2
+        [(subset, prob)] = explain_opt_oracle(stub, np.zeros(3), 1)
+        assert subset == (1,)
+        assert prob == 0.2
+
+    def test_ties_keep_the_first_subset_in_combinations_order(self):
+        stub = StubAnalyst(4, lambda s: 0.5)
+        assert explain_opt_oracle(stub, np.zeros(4), 3) == (((0,), 0.5), ((0, 1), 0.5), ((0, 1, 2), 0.5))
 
     def test_query_count_n3_k3(self):
         stub = StubAnalyst(3, lambda s: 0.5)
@@ -97,9 +99,11 @@ class TestOptOracle:
         result = explain_opt_oracle(stub, np.zeros(6), 4)
         from itertools import combinations
 
-        for step in result.steps:
-            for subset in combinations(range(6), step.size):
-                assert step.prob_normal <= prob_fn(tuple(subset)) + 1e-15
+        assert len(result) == 4
+        for size, (best, prob) in enumerate(result, start=1):
+            assert len(best) == size and prob == prob_fn(best)
+            for subset in combinations(range(6), size):
+                assert prob <= prob_fn(tuple(subset)) + 1e-15
 
     def test_budget_guard(self):
         stub = StubAnalyst(40, lambda s: 0.5)
@@ -109,11 +113,8 @@ class TestOptOracle:
 
 class TestOptOracleMfp:
     def opt_oracle_mfp(self, probs, dist):
-        steps = tuple(
-            OptOracleStep(size=i, subset=tuple(range(i)), prob_normal=p)
-            for i, p in enumerate(probs, start=1)
-        )
-        return expected_mfp(OptOracleResult(steps=steps).best_probs, dist, strict=True)
+        pairs = tuple((tuple(range(i)), p) for i, p in enumerate(probs, start=1))
+        return expected_mfp(tuple(p for _, p in pairs), dist, strict=True)
 
     def test_strict_threshold(self):
         point_mass = ThresholdDistribution(support=((0.3, 1.0),))
@@ -151,8 +152,8 @@ class TestAnalystDensityOracle:
         for idx in np.flatnonzero(data.labels)[:10]:
             x = data.points[idx]
             first = explain_seq_marg(detector, x, k=1).order[0]
-            best = explain_opt_oracle(analyst, x, 1).steps[0].subset[0]
-            assert first == best
+            [(subset, _)] = explain_opt_oracle(analyst, x, 1)
+            assert first == subset[0]
 
 
 def constant_prob_dataset():

@@ -246,6 +246,89 @@ class TestSharedProperties:
                 explainer(std_normal_oracle(3), np.zeros(3), k=4)
 
 
+def zero_density_egmm_case():
+    """A fitted EGMM and a point whose log density is -inf on every subset
+    holding feature 0 or 1: those coordinates are 1e200."""
+    X = np.random.default_rng(0).normal(size=(300, 4))
+    model = egmm_fit(X, EgmmConfig(members_per_k=2, component_counts=(2, 3), seed=1))
+    return model, np.array([1e200, 1e200, 0.5, -0.3])
+
+
+class TestMinusInfDensities:
+    """A log density of -inf is a valid value that ties like any other."""
+
+    def test_seq_do_ties_minus_inf_by_index(self):
+        sfe = explain_seq_do(ConstantOracle(-math.inf), np.zeros(3))
+        assert sfe.order == (0, 1, 2)
+        assert sfe.step_scores[:2] == (-math.inf, -math.inf)
+        assert math.isnan(sfe.step_scores[2])
+
+    def test_seq_do_on_a_zero_density_egmm_point(self):
+        model, x = zero_density_egmm_case()
+        sfe = explain_seq_do(model, x)
+        assert sfe.order == (0, 1, 2, 3)
+        assert sfe.step_scores[0] == -math.inf
+        assert all(math.isfinite(s) for s in sfe.step_scores[1:3])
+
+    def test_ind_do_scores_zero_when_every_density_is_zero(self):
+        sfe = explain_ind_do(ConstantOracle(-math.inf), np.zeros(3))
+        assert sfe.order == (0, 1, 2)
+        assert sfe.step_scores == (0.0, 0.0, 0.0)
+        model, x = zero_density_egmm_case()
+        sfe = explain_ind_do(model, x)
+        assert sfe.order == (0, 1, 2, 3)
+        assert sfe.step_scores == (0.0, 0.0, 0.0, 0.0)
+
+
+# Recorded on fitted_egmm_oracle(seed=7, n=5); a change to which subsets a
+# search queries, in what order, or how it breaks ties shows here bit for bit.
+PINNED_POINTS = (
+    np.array([2.5, -0.4, 0.1, 3.0, -1.7]),
+    np.array([0.2, 0.2, -4.0, 0.0, 1.1]),
+)
+PINNED_EXPLANATIONS = [
+    (0, explain_ind_marg, (3, 0, 4, 2, 1), (
+        "-0x1.37e54a364e830p+2", "-0x1.93eba2f18c20cp+1", "-0x1.ccb50a0c04756p+0",
+        "-0x1.ecffe643a972fp-1", "-0x1.dd3bbd43a38d5p-1",
+    )),
+    (0, explain_seq_marg, (3, 0, 4, 2, 1), (
+        "-0x1.37e54a364e830p+2", "-0x1.0b520ad48c3a6p+3", "-0x1.42febe837d630p+3",
+        "-0x1.688fdd738625fp+3", "-0x1.7d8d3b79f5197p+3",
+    )),
+    (0, explain_ind_do, (3, 0, 4, 2, 1), (
+        "0x1.c80b1b4e4274ap-11", "0x1.2dc78562ef6bep-13", "0x1.e9f977d1fd7b5p-16",
+        "0x1.8c60b67f10ea0p-17", "0x1.9c97ac4c996d2p-18",
+    )),
+    (0, explain_seq_do, (3, 0, 4, 2, 1), (
+        "-0x1.c289012a2acd8p+2", "-0x1.d5ad8f92af6d5p+1", "-0x1.f32dec7d76104p+0",
+        "-0x1.dd3bbd43a38d5p-1", "nan",
+    )),
+    (1, explain_ind_marg, (2, 4, 0, 3, 1), (
+        "-0x1.df349abb0f4d8p+2", "-0x1.cbe1f4c505ceep+0", "-0x1.4b57ed038ab40p+0",
+        "-0x1.ec46ab4157e36p-1", "-0x1.a5d7e89cda4a7p-1",
+    )),
+    (1, explain_seq_marg, (2, 4, 1, 3, 0), (
+        "-0x1.df349abb0f4d8p+2", "-0x1.2f49c372c4307p+3", "-0x1.55676eb14c9a1p+3",
+        "-0x1.77aba87f78941p+3", "-0x1.9316f48cda761p+3",
+    )),
+    (1, explain_ind_do, (2, 4, 1, 3, 0), (
+        "0x1.e03089f4b2685p-8", "0x1.76204c025e49fp-16", "0x1.760781c2f84cep-18",
+        "0x1.5750627c40999p-18", "0x1.33d95c206b983p-18",
+    )),
+    (1, explain_seq_do, (2, 4, 0, 3, 1), (
+        "-0x1.3a9b072bd9a46p+2", "-0x1.9455d13d1653cp+1", "-0x1.b916bc440f8dap+0",
+        "-0x1.a5d7e89cda4a7p-1", "nan",
+    )),
+]
+
+
+def test_explanations_are_pinned():
+    model, _ = fitted_egmm_oracle(seed=7, n=5)
+    for point, explainer, order, scores in PINNED_EXPLANATIONS:
+        sfe = explainer(model, PINNED_POINTS[point])
+        assert (sfe.order, tuple(s.hex() for s in sfe.step_scores)) == (order, scores), explainer.__name__
+
+
 @pytest.mark.parametrize("subset", [[], [-1], [3], [0, 3]])
 def test_every_subset_query_rejects_the_same_subsets(subset):
     n = 3

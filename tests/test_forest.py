@@ -329,3 +329,17 @@ class TestSerialization:
         np.savez(path, **arrays)
         with pytest.raises(MalformedForest):
             BaggedForest.load(path)
+
+    def test_string_values_in_file_are_malformed(self, tmp_path):
+        # A float64 cast parses these strings; the forest would then predict
+        # [0.25, 0.75] for rows [-1.0] and [1.0].
+        path = tmp_path / "forest.npz"
+        np.savez(
+            path,
+            n_features=1,
+            feature=np.array([0, -1, -1]),
+            value=np.array(["0.0", "0.25", "0.75"]),
+            left=np.array([1, 1, 2]),
+        )
+        with pytest.raises(MalformedForest, match="value must be a float array"):
+            BaggedForest.load(path)
