@@ -23,7 +23,6 @@ from .dataset import (
 from .density import (
     EgmmConfig,
     EgmmModel,
-    GaussianComponent,
     GmmModel,
     egmm_fit,
     egmm_log_marginal,

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import threading
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,9 +44,10 @@ class ThresholdDistribution:
     support: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        values = [v for pair in self.support for v in pair]
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) for v in values):
+            raise ValueError("thresholds and probabilities must be finite real numbers, not bools or strings")
         support = tuple((float(t), float(p)) for t, p in self.support)
-        if any(isinstance(v, bool) for pair in self.support for v in pair):
-            raise ValueError("thresholds and probabilities must be numbers, not bools")
         if not support:
             raise ValueError("threshold distribution needs at least one value")
         if any(not 0.0 <= t <= 0.5 for t, _ in support):

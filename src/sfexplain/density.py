@@ -14,7 +14,7 @@ density, with one LAPACK ``potrf`` (Cholesky) and one ``trtrs`` (triangular
 solve) per component. EM's E-step, member scoring, ranking and every subset
 query share it through ``_log_density``, which standardizes the rows, rejects
 non-finite query values and combines components and members. The kernel
-itself checks no finiteness: components reject non-finite parameters when
+itself checks no finiteness: a mixture rejects non-finite parameters when
 built, and EM rejects a non-finite step.
 """
 
@@ -24,8 +24,9 @@ import json
 import logging
 import math
 import operator
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,53 +65,55 @@ class _DegenerateFit(Exception):
     """Internal: one EM attempt collapsed; retried with a fresh seed."""
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One weighted Gaussian: weight in (0, 1], mean vector, SPD covariance."""
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=np.float64)
-        cov = np.array(self.covariance, dtype=np.float64)
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"weight must be in (0, 1], got {self.weight}")
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError("covariance must be square and match the mean's length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
-        scale = max(np.max(np.abs(cov)), 1.0)
-        if np.max(np.abs(cov - cov.T)) > 1e-9 * scale:
-            raise ValueError("covariance must be symmetric")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+# One component of a GmmModel, as read-only views into its arrays.
+ComponentView = namedtuple("ComponentView", "weight mean covariance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmModel:
-    """A single Gaussian mixture; weights sum to one.
+    """A single Gaussian mixture, stored as three read-only float64 arrays.
 
-    em_log_likelihoods records the training log-likelihood after each EM
-    iteration (non-decreasing); it is diagnostic only and not serialized.
+    weights (k,) each lie in (0, 1] and sum to one; means are (k, n) and
+    covariances (k, n, n), each symmetric. em_log_likelihoods records the
+    training log-likelihood after each EM iteration (non-decreasing); it is
+    diagnostic only and not serialized. Mixtures, like ensembles, compare by
+    identity: their arrays have no single truth value.
     """
 
-    components: tuple[GaussianComponent, ...]
-    n: int
-    em_log_likelihoods: tuple[float, ...] | None = field(default=None, compare=False)
+    weights: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
+    em_log_likelihoods: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not self.components:
+        weights, means, covs = (np.array(a, dtype=np.float64) for a in (self.weights, self.means, self.covariances))
+        if weights.ndim != 1 or not weights.size:
             raise ValueError("a mixture needs at least one component")
-        total = sum(c.weight for c in self.components)
+        k = weights.size
+        if means.ndim != 2 or means.shape[0] != k or covs.shape != (k, means.shape[1], means.shape[1]):
+            raise ValueError(f"shapes {weights.shape}, {means.shape}, {covs.shape} are not (k,), (k, n), (k, n, n)")
+        if not all(np.all(np.isfinite(a)) for a in (weights, means, covs)):
+            raise ValueError("weights, means and covariances must be finite")
+        if np.any(weights <= 0.0) or np.any(weights > 1.0):
+            raise ValueError(f"weights must be in (0, 1], got {weights.tolist()}")
+        total = float(weights.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights must sum to 1, got {total}")
-        for c in self.components:
-            if c.mean.size != self.n:
-                raise ValueError("all components must have the model's dimensionality")
+        scale = np.maximum(np.max(np.abs(covs), axis=(1, 2)), 1.0)
+        if np.any(np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2)) > 1e-9 * scale):
+            raise ValueError("each covariance must be symmetric")
+        for name, a in (("weights", weights), ("means", means), ("covariances", covs)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def n(self) -> int:
+        return self.means.shape[1]
+
+    @property
+    def components(self) -> tuple[ComponentView, ...]:
+        """Each component's (weight, mean, covariance); the benchmark's checks read these."""
+        return tuple(map(ComponentView, self.weights, self.means, self.covariances))
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ class EgmmConfig:
             raise ValueError("em_max_iters must be positive and em_tol > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EgmmModel:
     """Uniform mixture of retained mixtures, plus the input standardization.
 
@@ -153,29 +156,31 @@ class EgmmModel:
     """
 
     members: tuple[GmmModel, ...]
-    n: int
     shift: np.ndarray
     scale: np.ndarray
-    config: EgmmConfig | None = field(default=None, compare=False)
+    config: EgmmConfig | None = None
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        for m in self.members:
-            if m.n != self.n:
-                raise ValueError("all members must share the ensemble dimensionality")
         shift = np.array(self.shift, dtype=np.float64)
         scale = np.array(self.scale, dtype=np.float64)
-        if shift.shape != (self.n,) or scale.shape != (self.n,):
-            raise ValueError("shift and scale must be length-n vectors")
+        if shift.ndim != 1 or scale.shape != shift.shape:
+            raise ValueError("shift and scale must be vectors of one length")
+        for m in self.members:
+            if m.n != len(shift):
+                raise ValueError("all members must share the ensemble dimensionality")
         if not (np.all(np.isfinite(shift)) and np.all(np.isfinite(scale))):
             raise ValueError("shift and scale must be finite")
         if np.any(scale <= 0):
             raise ValueError("scale entries must be positive")
-        shift.setflags(write=False)
-        scale.setflags(write=False)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
+        for name, a in (("shift", shift), ("scale", scale)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def n(self) -> int:
+        return len(self.shift)
 
     def log_marginal(self, x: np.ndarray, subset: Iterable[int]) -> float:
         return egmm_log_marginal(self, x, subset)
@@ -184,16 +189,18 @@ class EgmmModel:
 def identity_egmm(members: Sequence[GmmModel]) -> EgmmModel:
     """Wrap mixtures into an ensemble with no input standardization."""
     n = members[0].n
-    return EgmmModel(members=tuple(members), n=n, shift=np.zeros(n), scale=np.ones(n))
+    return EgmmModel(members=tuple(members), shift=np.zeros(n), scale=np.ones(n))
 
 
+@np.errstate(over="ignore")
 def _component_log_likelihoods(
     X: np.ndarray, weights: Sequence[float], means: Sequence[np.ndarray], covs: Sequence[np.ndarray]
 ) -> np.ndarray:
     """(N, k) matrix of log(weight_c) + log N(x_i; mean_c, cov_c).
 
     Inputs must be finite. Raises LinAlgError if a covariance is not
-    positive definite.
+    positive definite. A coordinate near 1e200 squares to inf, so its log
+    density is -inf, which is right; that overflow is not warned about.
     """
     N, n = X.shape
     k = len(weights)
@@ -226,13 +233,9 @@ def _log_density(model: EgmmModel, X: np.ndarray, idx: np.ndarray) -> np.ndarray
     Z = (X[:, idx] - model.shift[idx]) / model.scale[idx]
     if not np.all(np.isfinite(Z)):
         raise ValueError("query values must be finite on the queried features")
-    block = np.ix_(idx, idx)
     member_vals = []
     for m in model.members:
-        comps = m.components
-        terms = _component_log_likelihoods(
-            Z, [c.weight for c in comps], [c.mean[idx] for c in comps], [c.covariance[block] for c in comps]
-        )
+        terms = _component_log_likelihoods(Z, m.weights, m.means[:, idx], m.covariances[:, idx[:, None], idx])
         member_vals.append(logsumexp(terms, axis=1))
     log_jacobian = float(np.sum(np.log(model.scale[idx])))
     return logsumexp(np.stack(member_vals), axis=0) - math.log(len(model.members)) - log_jacobian
@@ -414,11 +417,7 @@ def fit_gmm(
         except _DegenerateFit as exc:
             last_error = exc
             continue
-        components = tuple(
-            GaussianComponent(weight=float(w), mean=m, covariance=c)
-            for w, m, c in zip(weights, means, covs)
-        )
-        return GmmModel(components=components, n=X.shape[1], em_log_likelihoods=tuple(lls))
+        return GmmModel(weights, means, covs, em_log_likelihoods=tuple(lls))
     raise DegenerateCluster(f"EM collapsed on every attempt: {last_error}")
 
 
@@ -478,9 +477,7 @@ def egmm_fit(points: np.ndarray, config: EgmmConfig | None = None, workers: int 
     assert retained, "retention with quantile < 1 always keeps the best member"
     logger.info("retained %d of %d ensemble members", len(retained), len(members))
 
-    return EgmmModel(
-        members=retained, n=X.shape[1], shift=shift, scale=scale, config=config
-    )
+    return EgmmModel(members=retained, shift=shift, scale=scale, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +497,11 @@ def save_egmm(model: EgmmModel, path: str | Path) -> None:
         "members": [
             {
                 "components": [
-                    {
-                        "weight": comp.weight,
-                        "mean": comp.mean.tolist(),
-                        "covariance": comp.covariance.tolist(),
-                    }
-                    for comp in member.components
+                    {"weight": w, "mean": mean, "covariance": cov}
+                    for w, mean, cov in zip(m.weights.tolist(), m.means.tolist(), m.covariances.tolist())
                 ]
             }
-            for member in model.members
+            for m in model.members
         ],
     }
     with open(Path(path), "w") as fh:
@@ -548,22 +541,18 @@ def load_egmm(path: str | Path) -> EgmmModel:
             raise TypeError(f"n must be a JSON integer, got {json.dumps(n)}")
         members = tuple(
             GmmModel(
-                components=tuple(
-                    GaussianComponent(
-                        weight=float(_json_numbers("weight", comp["weight"], 0)),
-                        mean=_json_numbers("mean", comp["mean"], 1),
-                        covariance=_json_numbers("covariance", comp["covariance"], 2),
-                    )
-                    for comp in member["components"]
-                ),
-                n=n,
+                *(
+                    np.array([_json_numbers(name, comp[name], depth) for comp in member["components"]])
+                    for name, depth in (("weight", 0), ("mean", 1), ("covariance", 2))
+                )
             )
             for member in payload["members"]
         )
+        if any(m.n != n for m in members):
+            raise ValueError(f"every member must have the file's n={n} features")
         config = from_dict(EgmmConfig, payload["config"]) if payload.get("config") else None
         return EgmmModel(
             members=members,
-            n=n,
             shift=_json_numbers("shift", payload["shift"], 1),
             scale=_json_numbers("scale", payload["scale"], 1),
             config=config,

@@ -195,7 +195,8 @@ def run_evaluation(
     otherwise it falls back to the benchmark itself, which lets it memorize
     the evaluated anomalies, so a warning is logged. A prebuilt analyst may
     be passed instead to share its classifier cache across benchmarks drawn
-    from one mother set.
+    from one mother set. Either way, the analyst's feature names must equal
+    the benchmark's, in order, or SfexplainError is raised.
 
     Every method yields certainty curves for each anomaly: one for a density
     method, random_repeats for random, and the per-size best probabilities
@@ -207,12 +208,6 @@ def run_evaluation(
         raise ValueError("evaluation needs at least one anomaly in the dataset")
     n = dataset.n_features
     k = n if config.max_prefix is None else min(config.max_prefix, n)
-
-    if egmm is None:
-        egmm_config = egmm_config or EgmmConfig(seed=derive_seed(config.seed, TAG_EGMM))
-        egmm = egmm_fit(dataset.points, egmm_config)
-    ranking = rank_points(egmm, dataset)
-    selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
 
     if analyst is None:
         if analyst_data is None or not analyst_data.labels.any():
@@ -229,6 +224,17 @@ def run_evaluation(
             forest_config or ForestConfig(),
             seed=derive_seed(config.seed, TAG_ANALYST),
         )
+    if analyst.training_data.feature_names != dataset.feature_names:
+        raise SfexplainError(
+            f"the analyst's columns {list(analyst.training_data.feature_names)} "
+            f"are not the benchmark's {list(dataset.feature_names)}"
+        )
+
+    if egmm is None:
+        egmm_config = egmm_config or EgmmConfig(seed=derive_seed(config.seed, TAG_EGMM))
+        egmm = egmm_fit(dataset.points, egmm_config)
+    ranking = rank_points(egmm, dataset)
+    selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
     detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
     opt_k = min(k, OPT_ORACLE_SIZE_CAP)
 

@@ -17,7 +17,6 @@ from sfexplain.cli import main as cli_main
 from sfexplain.dataset import BenchmarkSpec, Dataset, MotherSet, sample_benchmark_split, save_csv
 from sfexplain.density import (
     EgmmConfig,
-    GaussianComponent,
     GmmModel,
     egmm_fit,
     fit_gmm,
@@ -55,13 +54,7 @@ def random_mixture_parts(rng, n, k):
     for _ in range(k):
         a = rng.normal(size=(n, n))
         covs.append(rng.uniform(0.3, 1.2) * (a @ a.T + n * np.eye(n)))
-    model = GmmModel(
-        components=tuple(
-            GaussianComponent(weight=float(w), mean=m, covariance=c)
-            for w, m, c in zip(weights, means, covs)
-        ),
-        n=n,
-    )
+    model = GmmModel(weights, np.array(means), np.array(covs))
     return model, weights, means, covs
 
 

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -11,7 +12,9 @@ from sfexplain.analyst import (
     certainty_curve,
     expected_mfp,
 )
+from sfexplain.config import MalformedConfig, from_dict
 from sfexplain.dataset import Dataset
+from sfexplain.evaluate import EvalConfig
 from sfexplain.explain import Method, Sfe
 from sfexplain.forest import BaggedForest, ForestConfig, SingleClassTrainingData
 from sfexplain.seeding import derive_seed
@@ -47,6 +50,17 @@ class TestThresholdDistribution:
     def test_rejects_probabilities_not_summing_to_one(self):
         with pytest.raises(ValueError):
             ThresholdDistribution(support=((0.1, 0.4), (0.2, 0.4)))
+
+    @pytest.mark.parametrize("pair", [["0.1", 1], [0.1, "1"], ["0.1", "1"], [True, 1], [None, 1], [0.1, math.nan]])
+    def test_values_must_be_real_numbers(self, pair):
+        # float() would read "0.1" as 0.1; every other numeric config field
+        # refuses a JSON string, and so does this one. A NaN probability
+        # passed the sum check and made every expected MFP NaN.
+        with pytest.raises(ValueError, match="real numbers"):
+            ThresholdDistribution(support=(tuple(pair),))
+        with pytest.raises(MalformedConfig, match="^malformed ThresholdDistribution: "):
+            from_dict(EvalConfig, {"thresholds": {"support": [pair]}})
+        assert ThresholdDistribution(support=((np.float64(0.1), 1),)).support == ((0.1, 1.0),)
 
 
 class TestCache:

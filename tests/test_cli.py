@@ -278,6 +278,19 @@ class TestEvaluate:
         assert "seqmarg*" in text
         assert "random*" not in text
 
+    def test_analyst_csv_with_reordered_columns_fails_with_message(self, tmp_path, capsys):
+        analyst_csv = tmp_path / "analyst.csv"
+        pool = write_dataset_csv(analyst_csv, np.random.default_rng(6), n_normal=80, n_anomaly=10)
+        save_csv(dataclasses.replace(pool, feature_names=("f1", "f0", "f2")), analyst_csv)
+        code, out_dir = self.run_eval(tmp_path, "run_columns", extra=("--analyst-csv", str(analyst_csv)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: the analyst's columns ['f1', 'f0', 'f2'] are not the benchmark's ['f0', 'f1', 'f2']"
+        ]
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
 
 class TestBenchgen:
     def test_anomaly_count(self, tmp_path):
@@ -386,6 +399,7 @@ class TestRunConfig:
             ('{"eval": {"top_fraction": true}}', "EvalConfig"),
             ('{"eval": {"thresholds": {"support": [[true, 1]]}}}', "ThresholdDistribution"),
             ('{"eval": {"thresholds": {"support": [[0.1, true]]}}}', "ThresholdDistribution"),
+            ('{"eval": {"thresholds": {"support": [["0.1", 1]]}}}', "ThresholdDistribution"),
         ],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, text, section):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -14,7 +15,6 @@ from sfexplain.density import (
     DegenerateCluster,
     EgmmConfig,
     EgmmModel,
-    GaussianComponent,
     MalformedModelFile,
     GmmModel,
     _rank_by_score,
@@ -32,23 +32,14 @@ LOG_STD_NORMAL_PEAK = -0.5 * math.log(2.0 * math.pi)
 
 
 def single_standard_normal(n):
-    return GmmModel(
-        components=(GaussianComponent(weight=1.0, mean=np.zeros(n), covariance=np.eye(n)),),
-        n=n,
-    )
+    return GmmModel(np.ones(1), np.zeros((1, n)), np.eye(n)[None])
 
 
 def random_mixture(rng, n, k, spread=3.0):
     weights = rng.dirichlet(np.ones(k))
     means = [rng.normal(scale=spread, size=n) for _ in range(k)]
     covs = [random_spd(rng, n, scale=rng.uniform(0.3, 1.5)) for _ in range(k)]
-    model = GmmModel(
-        components=tuple(
-            GaussianComponent(weight=float(w), mean=m, covariance=c)
-            for w, m, c in zip(weights, means, covs)
-        ),
-        n=n,
-    )
+    model = GmmModel(weights, np.array(means), np.array(covs))
     return model, weights, means, covs
 
 
@@ -282,11 +273,11 @@ class TestGmmLogMarginal:
         )
 
     def test_non_positive_definite_covariance_raises(self):
-        comp = GaussianComponent(weight=1.0, mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        model = GmmModel(np.ones(1), np.zeros((1, 2)), np.array([[[1.0, 2.0], [2.0, 1.0]]]))
         with pytest.raises(LinAlgError):
-            gmm_log_marginal(GmmModel(components=(comp,), n=2), np.zeros(2), [0, 1])
+            gmm_log_marginal(model, np.zeros(2), [0, 1])
         # One feature's block alone is positive definite.
-        assert gmm_log_marginal(GmmModel(components=(comp,), n=2), np.zeros(2), [0]) == pytest.approx(
+        assert gmm_log_marginal(model, np.zeros(2), [0]) == pytest.approx(
             LOG_STD_NORMAL_PEAK
         )
 
@@ -360,12 +351,8 @@ class TestEgmmLogMarginal:
             members.append(model)
             pooled.extend(zip(weights / 3.0, means, covs))
         ensemble = identity_egmm(members)
-        pooled_model = GmmModel(
-            components=tuple(
-                GaussianComponent(weight=float(w), mean=m, covariance=c) for w, m, c in pooled
-            ),
-            n=3,
-        )
+        weights, means, covs = zip(*pooled)
+        pooled_model = GmmModel(np.array(weights), np.array(means), np.array(covs))
         x = rng.normal(size=3)
         got = egmm_log_marginal(ensemble, x, [0, 1, 2])
         want = gmm_log_marginal(pooled_model, x, [0, 1, 2])
@@ -502,6 +489,17 @@ class TestSerialization:
         with pytest.raises(MalformedModelFile, match="n must be a JSON integer, got " + json.dumps(n)):
             load_egmm(path)
 
+    def test_n_must_match_every_member(self, tmp_path):
+        # Shift and scale cut to the file's n still leave members 3 wide.
+        X = np.random.default_rng(86).normal(size=(60, 3))
+        path = tmp_path / "model.json"
+        save_egmm(egmm_fit(X, EgmmConfig(members_per_k=1, component_counts=(2,), seed=1)), path)
+        payload = json.loads(path.read_text())
+        payload.update(n=2, shift=payload["shift"][:2], scale=payload["scale"][:2])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedModelFile, match="n=2"):
+            load_egmm(path)
+
     @pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
     @pytest.mark.parametrize("field", ["weight", "mean", "covariance", "shift", "scale"])
     def test_numbers_must_be_json_numbers(self, tmp_path, field, bad):
@@ -541,9 +539,13 @@ class TestSerialization:
 
 
 class TestComponentValidation:
+    @staticmethod
+    def one_component(mean, cov, weight=1.0):
+        return GmmModel(np.array([weight]), np.array([mean], dtype=float), np.array([cov], dtype=float))
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            GaussianComponent(weight=1.0, mean=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.1, 1.0]]))
+            self.one_component(np.zeros(2), [[1.0, 0.5], [0.1, 1.0]])
 
     @pytest.mark.parametrize(
         "mean, cov",
@@ -557,9 +559,51 @@ class TestComponentValidation:
     )
     def test_non_finite_parameters_rejected(self, mean, cov):
         with pytest.raises(ValueError, match="finite"):
-            GaussianComponent(weight=1.0, mean=np.array(mean), covariance=np.array(cov))
+            self.one_component(mean, cov)
 
     def test_weights_must_sum_to_one(self):
-        comp = GaussianComponent(weight=0.4, mean=np.zeros(1), covariance=np.eye(1))
         with pytest.raises(ValueError, match="sum to 1"):
-            GmmModel(components=(comp,), n=1)
+            self.one_component(np.zeros(1), np.eye(1), weight=0.4)
+
+    @pytest.mark.parametrize(
+        "weights, means, covs",
+        [
+            ([0.5, 0.5], np.zeros((1, 2)), np.eye(2)[None]),
+            ([1.0], np.zeros((1, 2)), np.eye(3)[None]),
+            ([1.0], np.zeros(2), np.eye(2)[None]),
+            ([], np.zeros((0, 2)), np.zeros((0, 2, 2))),
+        ],
+        ids=["two-weights-one-mean", "mean-and-covariance-widths", "mean-not-stacked", "no-components"],
+    )
+    def test_shapes_must_agree(self, weights, means, covs):
+        with pytest.raises(ValueError, match="shapes|at least one component"):
+            GmmModel(np.array(weights, dtype=float), means, covs)
+
+    def test_arrays_and_component_views_are_read_only(self):
+        model = single_standard_normal(2)
+        assert model.n == 2
+        [(weight, mean, cov)] = model.components
+        assert weight == 1.0
+        for a in (model.weights, model.means, model.covariances, mean, cov):
+            assert not a.flags.writeable
+        assert np.shares_memory(mean, model.means) and np.shares_memory(cov, model.covariances)
+
+    def test_models_compare_by_identity(self):
+        a, b = single_standard_normal(2), single_standard_normal(2)
+        assert a == a and a != b and len({a, b}) == 2
+        assert identity_egmm([a]) != identity_egmm([a])
+
+
+# sha256 of the file save_egmm wrote for this test's model, recorded before
+# mixtures were stored as stacked arrays; any change to the bytes shows here.
+PINNED_MODEL_SHA256 = "1ca2ae01ab4db6d5eb5ed1d15713725f45aa7d86764c390f452ec02814b28394"
+
+
+def test_saved_model_file_is_pinned(tmp_path):
+    X = np.random.default_rng(5).normal(size=(80, 3))
+    model = egmm_fit(X, EgmmConfig(members_per_k=2, component_counts=(1, 2), seed=3))
+    path = tmp_path / "model.json"
+    save_egmm(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL_SHA256
+    save_egmm(load_egmm(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

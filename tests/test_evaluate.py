@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sfexplain.analyst import AnalystModel, ThresholdDistribution, certainty_cur
 from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
+from sfexplain.errors import SfexplainError
 from sfexplain.evaluate import (
     AnalystDensityOracle,
     CombinatorialBudgetExceeded,
@@ -268,6 +270,23 @@ class TestRunEvaluation:
         )
         with pytest.raises(ValueError, match="anomaly"):
             run_evaluation(dataset, EvalConfig(), egmm=self.prefit_egmm())
+
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["analyst-data", "prebuilt-analyst"])
+    @pytest.mark.parametrize(
+        "names", [("f1", "f0", "f2"), ("f0", "f1", "f2", "f3"), ("f0", "f1")], ids=["reordered", "wider", "narrower"]
+    )
+    def test_analyst_columns_must_be_the_benchmarks(self, names, prebuilt):
+        # At the same width the analyst would silently read the wrong columns;
+        # at another it used to fail deep in an explainer with a bare error.
+        rng = np.random.default_rng(15)
+        dataset = make_labeled_dataset(rng, n_normal=60, n_anomaly=10)
+        pool = make_labeled_dataset(rng, n_normal=60, n_anomaly=10, n_features=len(names))
+        analyst_data = Dataset(points=pool.points, labels=pool.labels, feature_names=names)
+        given = {"analyst": AnalystModel(analyst_data, SMALL_FOREST)} if prebuilt else {"analyst_data": analyst_data}
+        egmm = egmm_fit(dataset.points, EgmmConfig(members_per_k=1, component_counts=(2,), seed=0))
+        expected = f"the analyst's columns {list(names)} are not the benchmark's ['f0', 'f1', 'f2']"
+        with pytest.raises(SfexplainError, match=re.escape(expected)):
+            run_evaluation(dataset, EvalConfig(top_fraction=1.0, random_repeats=2, seed=5), egmm=egmm, **given)
 
     def test_separate_analyst_data_used(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from conftest import ConstantOracle, CountingOracle, GaussianOracle, Transformed
 from sfexplain.analyst import AnalystModel
 from sfexplain.density import (
     EgmmConfig,
-    GaussianComponent,
     GmmModel,
     egmm_fit,
     egmm_log_marginal,
@@ -279,6 +279,15 @@ class TestMinusInfDensities:
         assert sfe.order == (0, 1, 2, 3)
         assert sfe.step_scores == (0.0, 0.0, 0.0, 0.0)
 
+    def test_zero_density_egmm_point_raises_no_warning(self):
+        # The squared distance overflows to inf inside the Gaussian kernel; the
+        # -inf it yields is right, so numpy must not warn about it either.
+        model, x = zero_density_egmm_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert explain_seq_do(model, x).step_scores[0] == -math.inf
+            assert explain_ind_do(model, x).step_scores == (0.0, 0.0, 0.0, 0.0)
+
 
 # Recorded on fitted_egmm_oracle(seed=7, n=5); a change to which subsets a
 # search queries, in what order, or how it breaks ties shows here bit for bit.
@@ -332,7 +341,7 @@ def test_explanations_are_pinned():
 @pytest.mark.parametrize("subset", [[], [-1], [3], [0, 3]])
 def test_every_subset_query_rejects_the_same_subsets(subset):
     n = 3
-    gmm = GmmModel(components=(GaussianComponent(weight=1.0, mean=np.zeros(n), covariance=np.eye(n)),), n=n)
+    gmm = GmmModel(np.ones(1), np.zeros((1, n)), np.eye(n)[None])
     data = make_labeled_dataset(np.random.default_rng(0), n_features=n)
     analyst = AnalystModel(data, ForestConfig(tree_count=5))
     x = np.zeros(n)
