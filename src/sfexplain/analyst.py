@@ -23,16 +23,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .explain import Sfe, subset_key
-from .forest import BaggedForest, ForestConfig, MalformedForest, SingleClassTrainingData
+from .forest import BaggedForest, ForestConfig, MalformedForest
 from .seeding import derive_seed
-
-__all__ = [
-    "AnalystModel",
-    "ThresholdDistribution",
-    "SingleClassTrainingData",
-    "certainty_curve",
-    "expected_mfp",
-]
 
 logger = logging.getLogger(__name__)
 

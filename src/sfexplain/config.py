@@ -24,8 +24,9 @@ def from_dict(cls, raw):
     integer (not a float, bool or string), and one annotated ``float`` no
     bool; every other value goes to the constructor unchanged. Input that is
     not an object, an unknown key, a non-integer integer field, a bool in a
-    float field, or a value the constructor rejects with a
-    TypeError, KeyError or ValueError raises MalformedConfig naming cls; a
+    float field, or a value the constructor rejects with a TypeError, KeyError,
+    ValueError or OverflowError (an integer past float64's range where a
+    number is checked) raises MalformedConfig naming cls; a
     MalformedConfig from a nested section passes through unchanged.
     """
     name = cls.__name__
@@ -50,7 +51,7 @@ def from_dict(cls, raw):
             values[key] = value
     try:
         return cls(**values)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise MalformedConfig(f"malformed {name}: {exc!r}") from exc
 
 

@@ -140,8 +140,8 @@ class EgmmConfig:
             raise ValueError("component_counts must be a nonempty list of positive integers")
         if not 0.0 <= self.retention_quantile < 1.0:
             raise ValueError("retention_quantile must be in [0, 1)")
-        if self.em_max_iters < 1 or self.em_tol <= 0.0:
-            raise ValueError("em_max_iters must be positive and em_tol > 0")
+        if self.em_max_iters < 1 or not (math.isfinite(self.em_tol) and self.em_tol > 0.0):
+            raise ValueError("em_max_iters must be positive and em_tol finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,7 +511,8 @@ def save_egmm(model: EgmmModel, path: str | Path) -> None:
 
 def _json_numbers(name: str, value, ndim: int) -> np.ndarray:
     """value, JSON numbers nested in ndim levels of lists, as float64;
-    anything else, bools and strings included, raises TypeError naming name."""
+    anything else, bools and strings included, raises TypeError naming name,
+    and an integer past float64's range raises ValueError naming name."""
 
     def numeric(v, depth):
         if depth:
@@ -521,7 +522,10 @@ def _json_numbers(name: str, value, ndim: int) -> np.ndarray:
     if not numeric(value, ndim):
         shape = ("a JSON number", "a list of JSON numbers", "a list of lists of JSON numbers")[ndim]
         raise TypeError(f"{name} must be {shape}")
-    return np.array(value, dtype=np.float64)
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds an integer outside float64's range") from exc
 
 
 def load_egmm(path: str | Path) -> EgmmModel:

@@ -93,17 +93,20 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
 
     The nodes are consecutive segments of every row of order (sample ids,
     sorted within each segment by that row's feature). Candidate features are
-    drawn in node order. A candidate's best cut is its first minimal one,
-    over cuts between distinct values that leave min_leaf samples per side;
-    ties between candidates go to the first drawn. A node splits only when
-    the best cost is below its own Gini impurity by more than 1e-12.
+    drawn in node order. One cost table holds the weighted Gini of every cut,
+    one row per candidate slot, +inf where the cut is not between distinct
+    values or leaves fewer than min_leaf samples on a side. A candidate's best
+    cut is its first minimal one; ties between candidates go to the first
+    drawn. A node splits only when the best cost is below its own Gini
+    impurity by more than 1e-12.
     Returns (feature, threshold, splits), feature and threshold valid where
     splits is set.
     """
     G, d = len(sizes), order.shape[0]
     candidates = rng.random((G, d)).argsort(axis=1)[:, :m_features]
+    node_starts = _starts(sizes)
     seg = np.repeat(np.arange(G), sizes)
-    local = np.arange(len(seg)) - _starts(sizes)[seg]
+    local = np.arange(len(seg)) - node_starts[seg]
     feat = candidates[seg].T  # (m, P): one row per candidate slot
     sample = order[feat, starts[seg] + local]
     xs = Xs[sample, feat]
@@ -113,25 +116,19 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
     valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
     valid &= (n_left >= min_leaf) & (n_left <= sizes[seg] - min_leaf)
 
-    slot, pos = np.nonzero(valid)  # ordered by slot, then position
-    nl = n_left[pos].astype(float)
-    n = sizes[seg[pos]].astype(float)
-    a_left = (anomalies[slot, pos + 1] - anomalies[slot, pos - local[pos]]).astype(float)
-    a_right = n_anomaly[seg[pos]] - a_left
+    nl = n_left.astype(float)
+    n = sizes[seg].astype(float)
+    a_left = (anomalies[:, 1:] - anomalies[:, node_starts[seg]]).astype(float)
+    a_right = n_anomaly[seg] - a_left
     p_left = a_left / nl
-    p_right = a_right / (n - nl)
+    p_right = a_right / np.maximum(n - nl, 1.0)  # n - nl >= min_leaf at a valid cut
     costs = (nl * (2.0 * p_left * (1.0 - p_left)) + (n - nl) * (2.0 * p_right * (1.0 - p_right))) / n
+    costs[~valid] = np.inf
 
-    best_cost = np.full((len(candidates.T), G), np.inf)
-    best_pos = np.zeros((len(candidates.T), G), dtype=np.int64)
-    key = slot * G + seg[pos]
-    if len(key):
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        lowest = np.minimum.reduceat(costs, first)
-        hit = costs == np.repeat(lowest, np.diff(np.append(first, len(key))))
-        at = np.minimum.reduceat(np.where(hit, np.arange(len(key)), len(key)), first)
-        best_cost.flat[key[first]] = lowest
-        best_pos.flat[key[first]] = pos[at]
+    # Per (slot, node): the lowest cost, then the first position reaching it.
+    best_cost = np.minimum.reduceat(costs, node_starts, axis=1)
+    hit = costs == np.repeat(best_cost, sizes, axis=1)
+    best_pos = np.minimum.reduceat(np.where(hit, np.arange(len(seg)), len(seg)), node_starts, axis=1)
 
     chosen = np.argmin(best_cost, axis=0)
     nodes = np.arange(G)
@@ -148,7 +145,9 @@ def grow_forest(
     """Grow one tree per row of rows (training-row indices: that tree's
     bootstrap), all trees one depth at a time, with candidate features
     drawn from rng. Splits follow _best_splits; a node stays a leaf at
-    max_depth, below 2 * min_leaf samples, or when it holds one class."""
+    max_depth, below 2 * min_leaf samples, or when it holds one class.
+    Samples reach the children by one stable sort per depth of each
+    feature's presorted order by child number."""
     T, n = rows.shape
     d = X.shape[1]
     m_features = min(d, max(1, math.ceil(math.sqrt(d))))
@@ -192,23 +191,17 @@ def grow_forest(
         level["value"][parents] = threshold
         level["left"][parents] = first_id + 2 * np.arange(S)
 
-        # Route each parent's samples to its children: a stable partition of
-        # every feature's order by the parent's test, computed with cumsums.
+        # Route each parent's samples to its children, numbered 2 * parent +
+        # goes_right: a stable sort by child keeps every row presorted.
         seg = np.repeat(np.arange(S), sizes[parents])
-        new_starts = _starts(sizes[parents])
-        local = np.arange(len(seg)) - new_starts[seg]
+        local = np.arange(len(seg)) - _starts(sizes[parents])[seg]
         moved = order[:, starts[parents][seg] + local]
         samples = moved[0]
-        goes_left = np.zeros(len(Xs), dtype=bool)
-        goes_left[samples] = Xs[samples, feature[seg]] < threshold[seg]
-        flags = goes_left[moved]
-        counts = _prefix_sums(flags)
-        left_before = counts[:, :-1] - counts[:, new_starts[seg]]
-        n_left = counts[0, new_starts + sizes[parents]] - counts[0, new_starts]
-        target = new_starts[seg] + np.where(flags, left_before, n_left[seg] + local - left_before)
-        order = np.empty_like(moved)
-        order[np.arange(d)[:, None], target] = moved
-        sizes = np.stack([n_left, sizes[parents] - n_left], axis=1).ravel()
+        goes_right = np.zeros(len(Xs), dtype=bool)
+        goes_right[samples] = ~(Xs[samples, feature[seg]] < threshold[seg])
+        child = 2 * seg + goes_right[moved]
+        order = np.take_along_axis(moved, np.argsort(child, axis=1, kind="stable"), axis=1)
+        sizes = np.bincount(child[0], minlength=2 * S)
         tree = np.repeat(tree[parents], 2)
 
     nodes = {name: np.concatenate([level[name] for level in levels]) for name in levels[0]}

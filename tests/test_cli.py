@@ -390,6 +390,9 @@ class TestRunConfig:
             ('{"eval": {"random_repeats": true}}', "EvalConfig"),
             ('{"egmm": {"component_counts": [3.7]}}', "EgmmConfig"),
             ('{"egmm": {"em_tol": true}}', "EgmmConfig"),
+            ('{"egmm": {"em_tol": NaN}}', "EgmmConfig"),
+            ('{"egmm": {"em_tol": Infinity}}', "EgmmConfig"),
+            pytest.param('{"egmm": {"em_tol": %s}}' % ("1" + "0" * 400), "EgmmConfig", id="em-tol-past-float64"),
             ('{"egmm": {"retention_quantile": false}}', "EgmmConfig"),
             ('{"egmm": {"component_counts": [true, 2]}}', "EgmmConfig"),
             (
@@ -400,6 +403,11 @@ class TestRunConfig:
             ('{"eval": {"thresholds": {"support": [[true, 1]]}}}', "ThresholdDistribution"),
             ('{"eval": {"thresholds": {"support": [[0.1, true]]}}}', "ThresholdDistribution"),
             ('{"eval": {"thresholds": {"support": [["0.1", 1]]}}}', "ThresholdDistribution"),
+            pytest.param(
+                '{"eval": {"thresholds": {"support": [[0.1, %s]]}}}' % ("1" + "0" * 400),
+                "ThresholdDistribution",
+                id="threshold-past-float64",
+            ),
         ],
     )
     def test_rejected_value_names_its_section(self, tmp_path, capsys, text, section):

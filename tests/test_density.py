@@ -460,11 +460,12 @@ class TestSerialization:
             lambda p: p["config"].update(component_counts=[2.5]),
             lambda p: p["config"].update(component_counts=[True, 2]),
             lambda p: p["config"].update(em_tol=True),
+            lambda p: p["scale"].__setitem__(1, 10**400),
         ],
         ids=["no-members", "no-components", "mean-shape", "covariance-shape",
              "weight-string", "weight-null", "shift-shape", "n-string", "covariance-nan", "mean-inf",
              "shift-nan", "scale-inf", "config-seed-float", "config-count-float", "config-count-bool",
-             "config-tol-bool"],
+             "config-tol-bool", "scale-int-past-float64"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
         X = np.random.default_rng(84).normal(size=(60, 3))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import save_five_array_forest
 from sfexplain.config import MalformedConfig, from_dict
 from sfexplain.forest import (
+    NODE_ARRAYS,
     BaggedForest,
     ForestConfig,
     MalformedForest,
@@ -276,6 +278,43 @@ class TestGrower:
             "0x1.600f5c481b565p-1",
             "0x1.f754caa1ff755p-2",
         ]
+
+    @pytest.mark.parametrize(
+        "data, config, sha256",
+        [
+            (
+                "tied",
+                ForestConfig(tree_count=6, max_depth=8, min_leaf=3),
+                "d6f4327b02d4d79352a6fea8d75e1d0ecef08b08c112d03d67ceb2f6c6df99b5",
+            ),
+            (
+                "normal",
+                ForestConfig(tree_count=5, min_leaf=1),
+                "06731b8aad870cc26f9e1141b761e39d8a3500067fea65f187ab098c636eaeca",
+            ),
+            (
+                "noisy",
+                ForestConfig(tree_count=4, max_depth=3, min_leaf=2),
+                "f24eeebb67726b1e245ef828b90cac6e0a8207ca67233143cbb0c6dfc66b489f",
+            ),
+        ],
+        ids=["tied-values", "min-leaf-1", "max-depth"],
+    )
+    def test_fitted_forest_is_pinned(self, data, config, sha256):
+        # The node arrays, byte for byte: a change to the split search or the
+        # routing that alters any split, threshold or leaf value shows here.
+        rng = np.random.default_rng(30)
+        X = rng.normal(size=(120, 3))
+        if data == "tied":  # one decimal: many equal values and tied costs
+            X = np.round(X, 1)
+        y = rng.random(120) < (0.3 if data == "noisy" else 0.2 + 0.5 * (X[:, 0] > 0))
+        forest = BaggedForest.fit(X, y, config, seed=17)
+        depth = np.zeros(len(forest.feature), dtype=int)
+        for node in np.flatnonzero(forest.feature >= 0):  # children follow parents
+            depth[forest.left[node] : forest.left[node] + 2] = depth[node] + 1
+        assert (depth.max() == config.max_depth) == (data == "noisy")
+        digest = hashlib.sha256(b"".join(getattr(forest, name).tobytes() for name in NODE_ARRAYS))
+        assert digest.hexdigest() == sha256
 
 
 class TestSerialization:
