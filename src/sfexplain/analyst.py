@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import threading
 from dataclasses import asdict, dataclass
-from numbers import Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import is_finite_real
 from .dataset import Dataset
 from .explain import Sfe, subset_key
 from .forest import BaggedForest, ForestConfig, MalformedForest
@@ -37,7 +36,7 @@ class ThresholdDistribution:
 
     def __post_init__(self):
         values = [v for pair in self.support for v in pair]
-        if not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v) for v in values):
+        if not all(map(is_finite_real, values)):
             raise ValueError("thresholds and probabilities must be finite real numbers, not bools or strings")
         support = tuple((float(t), float(p)) for t, p in self.support)
         if not support:

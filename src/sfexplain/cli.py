@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .analyst import AnalystModel
 from .config import from_dict
 from .dataset import (
     BenchmarkSpec,
@@ -37,7 +38,7 @@ from .evaluate import (
 )
 from .explain import DENSITY_METHODS, Method, density_explainers, explain_random
 from .forest import ForestConfig
-from .seeding import TAG_EGMM, TAG_RANDOM_SFE, derive_seed
+from .seeding import TAG_ANALYST, TAG_EGMM, TAG_RANDOM_SFE, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -130,21 +131,25 @@ def cmd_evaluate(args) -> int:
     if args.oracle_detector:
         eval_config = replace(eval_config, detector_mode=DetectorMode.ORACLE)
 
-    egmm_config = config.egmm
-    if args.seed is not None and egmm_config is not None:
+    egmm_config = config.egmm or EgmmConfig()
+    if args.seed is not None or config.egmm is None:
         egmm_config = replace(egmm_config, seed=derive_seed(config.seed, TAG_EGMM))
 
     analyst_data = None
     if args.analyst_csv:
         analyst_data = load_csv(args.analyst_csv, args.label_column, set(args.anomaly_value))
+    if analyst_data is None:
+        logger.warning(
+            "no separate analyst training data; the analyst trains on the "
+            "evaluated benchmark and may memorize its anomalies"
+        )
+        analyst_data = dataset
+    elif not analyst_data.labels.any():
+        logger.warning("analyst training data has no anomalies; using the benchmark itself")
+        analyst_data = dataset
+    analyst = AnalystModel(analyst_data, config.forest, seed=derive_seed(config.seed, TAG_ANALYST))
 
-    report = run_evaluation(
-        dataset,
-        eval_config,
-        egmm_config=egmm_config,
-        forest_config=config.forest,
-        analyst_data=analyst_data,
-    )
+    report = run_evaluation(dataset, eval_config, egmm_fit(dataset.points, egmm_config), analyst)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(report, out_dir / "summary.csv")

@@ -6,7 +6,9 @@ field's annotation, so no section or integer field is listed anywhere else.
 
 import dataclasses
 import json
+import math
 import typing
+from numbers import Real
 
 from .errors import SfexplainError
 
@@ -24,10 +26,9 @@ def from_dict(cls, raw):
     integer (not a float, bool or string), and one annotated ``float`` no
     bool; every other value goes to the constructor unchanged. Input that is
     not an object, an unknown key, a non-integer integer field, a bool in a
-    float field, or a value the constructor rejects with a TypeError, KeyError,
-    ValueError or OverflowError (an integer past float64's range where a
-    number is checked) raises MalformedConfig naming cls; a
-    MalformedConfig from a nested section passes through unchanged.
+    float field, or a value the constructor rejects with a TypeError, KeyError
+    or ValueError raises MalformedConfig naming cls; a MalformedConfig from a
+    nested section passes through unchanged.
     """
     name = cls.__name__
     if not isinstance(raw, dict):
@@ -51,7 +52,7 @@ def from_dict(cls, raw):
             values[key] = value
     try:
         return cls(**values)
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise MalformedConfig(f"malformed {name}: {exc!r}") from exc
 
 
@@ -61,3 +62,14 @@ def _field_kind(hint) -> tuple[object, bool]:
     if len(args) == 2 and type(None) in args:
         return next(a for a in args if a is not type(None)), True
     return hint, False
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a real number, not a bool, with a finite float64 value:
+    an integer past float64's range is not, rather than an OverflowError."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -35,7 +35,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import logsumexp
 
-from .config import from_dict
+from .config import from_dict, is_finite_real
 from .dataset import Dataset
 from .errors import SfexplainError
 from .explain import subset_key
@@ -140,7 +140,7 @@ class EgmmConfig:
             raise ValueError("component_counts must be a nonempty list of positive integers")
         if not 0.0 <= self.retention_quantile < 1.0:
             raise ValueError("retention_quantile must be in [0, 1)")
-        if self.em_max_iters < 1 or not (math.isfinite(self.em_tol) and self.em_tol > 0.0):
+        if self.em_max_iters < 1 or not (is_finite_real(self.em_tol) and self.em_tol > 0.0):
             raise ValueError("em_max_iters must be positive and em_tol finite and > 0")
 
 

@@ -1,17 +1,16 @@
 """End-to-end evaluation of explanation methods against the simulated analyst.
 
-The harness fits (or receives) the ensemble detector, keeps the anomalies the
-detector ranks in the top slice, explains each with the requested methods,
-scores every explanation by threshold-averaged minimum feature prefix, and
-aggregates per-method means with 95% confidence intervals. An oracle-detector
-mode swaps the density behind the explanation methods for the analyst's own
-conditional probability.
+The harness takes a fitted ensemble detector and an analyst, keeps the
+anomalies the detector ranks in the top slice, explains each with the
+requested methods, scores every explanation by threshold-averaged minimum
+feature prefix, and aggregates per-method means with 95% confidence
+intervals. An oracle-detector mode swaps the density behind the explanation
+methods for the analyst's own conditional probability.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,13 +23,10 @@ import numpy as np
 
 from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
 from .dataset import Dataset
-from .density import EgmmConfig, EgmmModel, egmm_fit, rank_points
+from .density import EgmmModel, rank_points
 from .errors import SfexplainError
 from .explain import DENSITY_METHODS, Method, density_explainers, explain_random
-from .forest import ForestConfig
-from .seeding import TAG_ANALYST, TAG_EGMM, TAG_RANDOM_SFE, derive_seed
-
-logger = logging.getLogger(__name__)
+from .seeding import TAG_RANDOM_SFE, derive_seed
 
 OPT_ORACLE_SIZE_CAP = 10
 OPT_ORACLE_BUDGET = 1_000_000
@@ -180,23 +176,12 @@ def _summary(values: list[float], censored_flags: list[bool]) -> MethodSummary:
 
 
 def run_evaluation(
-    dataset: Dataset,
-    config: EvalConfig,
-    egmm_config: EgmmConfig | None = None,
-    forest_config: ForestConfig | None = None,
-    analyst_data: Dataset | None = None,
-    egmm: EgmmModel | None = None,
-    analyst: AnalystModel | None = None,
+    dataset: Dataset, config: EvalConfig, egmm: EgmmModel, analyst: AnalystModel
 ) -> EvaluationReport:
-    """Run the full protocol on one benchmark dataset.
-
-    The analyst trains on analyst_data when given (normally the mother-set
-    rows left out of the benchmark, or the whole labeled mother set);
-    otherwise it falls back to the benchmark itself, which lets it memorize
-    the evaluated anomalies, so a warning is logged. A prebuilt analyst may
-    be passed instead to share its classifier cache across benchmarks drawn
-    from one mother set. Either way, the analyst's feature names must equal
-    the benchmark's, in order, or SfexplainError is raised.
+    """Run the full protocol on one benchmark dataset with a fitted detector
+    and an analyst, which should train on labeled data beyond the benchmark.
+    The analyst's feature names must equal the benchmark's, in order, or
+    SfexplainError is raised.
 
     Every method yields certainty curves for each anomaly: one for a density
     method, random_repeats for random, and the per-size best probabilities
@@ -206,33 +191,14 @@ def run_evaluation(
     """
     if dataset.n_anomalies < 1:
         raise ValueError("evaluation needs at least one anomaly in the dataset")
-    n = dataset.n_features
-    k = n if config.max_prefix is None else min(config.max_prefix, n)
-
-    if analyst is None:
-        if analyst_data is None or not analyst_data.labels.any():
-            if analyst_data is not None:
-                logger.warning("analyst training data has no anomalies; using the benchmark itself")
-            else:
-                logger.warning(
-                    "no separate analyst training data; the analyst trains on the "
-                    "evaluated benchmark and may memorize its anomalies"
-                )
-            analyst_data = dataset
-        analyst = AnalystModel(
-            analyst_data,
-            forest_config or ForestConfig(),
-            seed=derive_seed(config.seed, TAG_ANALYST),
-        )
     if analyst.training_data.feature_names != dataset.feature_names:
         raise SfexplainError(
             f"the analyst's columns {list(analyst.training_data.feature_names)} "
             f"are not the benchmark's {list(dataset.feature_names)}"
         )
+    n = dataset.n_features
+    k = n if config.max_prefix is None else min(config.max_prefix, n)
 
-    if egmm is None:
-        egmm_config = egmm_config or EgmmConfig(seed=derive_seed(config.seed, TAG_EGMM))
-        egmm = egmm_fit(dataset.points, egmm_config)
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
     detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)

@@ -98,7 +98,9 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
     values or leaves fewer than min_leaf samples on a side. A candidate's best
     cut is its first minimal one; ties between candidates go to the first
     drawn. A node splits only when the best cost is below its own Gini
-    impurity by more than 1e-12.
+    impurity by more than 1e-12. The threshold is the midpoint of the values
+    around the cut, or the upper value when the midpoint rounds down to the
+    lower one (adjacent floats), so every split sends rows to both sides.
     Returns (feature, threshold, splits), feature and threshold valid where
     splits is set.
     """
@@ -135,8 +137,9 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
     cut = best_pos[chosen, nodes]
     parent_p = n_anomaly / sizes
     splits = best_cost[chosen, nodes] < 2.0 * parent_p * (1.0 - parent_p) - 1e-12
-    threshold = 0.5 * (xs[chosen, cut] + xs[chosen, np.minimum(cut + 1, xs.shape[1] - 1)])
-    return candidates[nodes, chosen], threshold, splits
+    lo, hi = xs[chosen, cut], xs[chosen, np.minimum(cut + 1, xs.shape[1] - 1)]
+    mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows near the float64 limit
+    return candidates[nodes, chosen], np.where(mid > lo, mid, hi), splits
 
 
 def grow_forest(
@@ -268,17 +271,15 @@ class BaggedForest:
         self._squarings = math.ceil(math.log2(depth)) if depth else 0
 
     @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int | None = None) -> "BaggedForest":
+    def fit(cls, X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> "BaggedForest":
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        if X.ndim != 2:
+            raise ValueError(f"training rows must form a 2-D matrix, got shape {X.shape}")
         y = np.asarray(y, dtype=bool)
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be one per training row")
         if y.all() or not y.any():
             raise SingleClassTrainingData("training data must contain both classes")
-        if seed is None:
-            seed = config.seed
 
         # Canonical row order: sort by feature values then label, so fitted
         # forests are invariant to the incoming row order.

@@ -191,12 +191,9 @@ def test_c4_opt_oracle_dominance():
             methods=frozenset(Method),
             seed=case_idx,
         )
-        report = run_evaluation(
-            dataset,
-            config,
-            egmm_config=EgmmConfig(members_per_k=2, component_counts=(2, 3), seed=case_idx),
-            forest_config=ForestConfig(tree_count=60),
-        )
+        analyst = AnalystModel(dataset, ForestConfig(tree_count=60), seed=report_seed_for(config))
+        egmm = egmm_fit(dataset.points, EgmmConfig(members_per_k=2, component_counts=(2, 3), seed=case_idx))
+        report = run_evaluation(dataset, config, egmm, analyst)
         oracle_rows = {
             r.point_index: r for r in report.per_point if r.method is Method.OPT_ORACLE
         }
@@ -209,9 +206,6 @@ def test_c4_opt_oracle_dominance():
                 if per_tau_mfp_best_probs(probs, tau) > per_tau_mfp_curve(row.curve, tau):
                     violations += 1
         # Dominance also holds against individual random explanations.
-        analyst = AnalystModel(
-            dataset, ForestConfig(tree_count=60), seed=report_seed_for(config)
-        )
         for row in list(oracle_rows.values())[:2]:
             x = dataset.points[row.point_index]
             for r in range(5):
@@ -304,9 +298,7 @@ def pooled_mother_evaluation(mother, anomaly_class, size, frac, n_benchmarks, se
             top_fraction=0.3, random_repeats=100, methods=ALL_SFE_METHODS, seed=seed
         )
         try:
-            report = run_evaluation(
-                bench, config, egmm_config=EgmmConfig(seed=seed + b), analyst=analyst
-            )
+            report = run_evaluation(bench, config, egmm_fit(bench.points, EgmmConfig(seed=seed + b)), analyst)
         except NoAnomaliesSelected:
             continue
         for r in report.per_point:
@@ -373,9 +365,8 @@ def test_c7_single_critical_feature_synthetic():
     report = run_evaluation(
         benchmark,
         config,
-        egmm_config=EgmmConfig(seed=7),
-        forest_config=ForestConfig(),
-        analyst_data=analyst_pool,
+        egmm_fit(benchmark.points, EgmmConfig(seed=7)),
+        AnalystModel(analyst_pool, ForestConfig(), seed=report_seed_for(config)),
     )
     for m in (Method.IND_MARG, Method.SEQ_MARG, Method.IND_DO, Method.SEQ_DO):
         mean = report.per_method[m].mean_expected_mfp

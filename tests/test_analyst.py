@@ -51,11 +51,14 @@ class TestThresholdDistribution:
         with pytest.raises(ValueError):
             ThresholdDistribution(support=((0.1, 0.4), (0.2, 0.4)))
 
-    @pytest.mark.parametrize("pair", [["0.1", 1], [0.1, "1"], ["0.1", "1"], [True, 1], [None, 1], [0.1, math.nan]])
+    @pytest.mark.parametrize(
+        "pair", [["0.1", 1], [0.1, "1"], ["0.1", "1"], [True, 1], [None, 1], [0.1, math.nan], [0.1, 10**400]]
+    )
     def test_values_must_be_real_numbers(self, pair):
         # float() would read "0.1" as 0.1; every other numeric config field
         # refuses a JSON string, and so does this one. A NaN probability
-        # passed the sum check and made every expected MFP NaN.
+        # passed the sum check and made every expected MFP NaN; an integer
+        # past float64's range raised a bare OverflowError.
         with pytest.raises(ValueError, match="real numbers"):
             ThresholdDistribution(support=(tuple(pair),))
         with pytest.raises(MalformedConfig, match="^malformed ThresholdDistribution: "):

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import sfexplain
-import sfexplain.evaluate
+import sfexplain.cli
 from sfexplain.cli import RunConfig, main
 from sfexplain.config import MalformedConfig
 from sfexplain.dataset import Dataset, save_csv
 from sfexplain.density import EgmmConfig
 from sfexplain.evaluate import EvalConfig
+from sfexplain.explain import explain_random
 from sfexplain.forest import ForestConfig
-from sfexplain.seeding import TAG_EGMM, derive_seed
+from sfexplain.seeding import TAG_EGMM, TAG_RANDOM_SFE, derive_seed
 
 SMALL_CONFIG = {
     "seed": 5,
@@ -136,6 +137,36 @@ class TestExplain:
         for line in lines[1:]:
             order = line.split(",")[2]
             assert len(order.split(";")) == 3
+
+    def test_random_orders_are_the_first_evaluation_repeat(self, tmp_path):
+        rng = np.random.default_rng(9)
+        csv_path, model = self.fit_model(tmp_path, rng, n_features=5)
+        out = tmp_path / "sfe.csv"
+        code = main(
+            [
+                "explain", str(model), str(csv_path), "--method", "random", "--k", "4",
+                "--seed", "6", "-o", str(out), "--top-fraction", "0.2",
+            ]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert rows
+        for idx, method, order, _ in rows:
+            expected = explain_random(5, 4, seed=derive_seed(6, TAG_RANDOM_SFE, int(idx), 0))
+            assert method == "random"
+            assert tuple(map(int, order.split(";"))) == expected.order
+
+    def test_model_of_another_width_fails_with_message(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        _, model = self.fit_model(tmp_path, rng, n_features=3)
+        other_csv = tmp_path / "wide.csv"
+        write_dataset_csv(other_csv, rng, n_features=4)
+        capsys.readouterr()
+        out = tmp_path / "sfe.csv"
+        code = main(["explain", str(model), str(other_csv), "--method", "seqmarg", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: model expects 3 features, dataset has 4"]
+        assert not out.exists()
 
     def test_unknown_method_rejected_with_choices(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -258,13 +289,13 @@ class TestEvaluate:
 
     def test_seed_flag_overrides_file_egmm_seed(self, tmp_path, monkeypatch):
         seeds = []
-        fit = sfexplain.evaluate.egmm_fit
+        fit = sfexplain.cli.egmm_fit
 
         def recording_fit(points, config, **kwargs):
             seeds.append(config.seed)
             return fit(points, config, **kwargs)
 
-        monkeypatch.setattr(sfexplain.evaluate, "egmm_fit", recording_fit)
+        monkeypatch.setattr(sfexplain.cli, "egmm_fit", recording_fit)
         code, _ = self.run_eval(tmp_path, "run_seed", extra=("--seed", "9"))
         assert code == 0
         assert SMALL_CONFIG["egmm"]["seed"] != 9
@@ -277,6 +308,38 @@ class TestEvaluate:
         assert "indmarg*" in text
         assert "seqmarg*" in text
         assert "random*" not in text
+
+    def write_analyst_csv(self, tmp_path, n_anomaly):
+        analyst_csv = tmp_path / f"analyst_{n_anomaly}.csv"
+        write_dataset_csv(analyst_csv, np.random.default_rng(6), n_normal=80, n_anomaly=n_anomaly)
+        return str(analyst_csv)
+
+    def test_analyst_csv_changes_the_reports(self, tmp_path):
+        code, without = self.run_eval(tmp_path, "without")
+        assert code == 0
+        code, with_csv = self.run_eval(
+            tmp_path, "with_csv", extra=("--analyst-csv", self.write_analyst_csv(tmp_path, 10))
+        )
+        assert code == 0
+        assert (with_csv / "per_point.csv").read_bytes() != (without / "per_point.csv").read_bytes()
+
+    def test_analyst_csv_without_anomalies_falls_back_to_the_benchmark(self, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger="sfexplain.cli"):
+            code, without = self.run_eval(tmp_path, "without")
+        assert code == 0
+        assert caplog.messages == [
+            "no separate analyst training data; the analyst trains on the "
+            "evaluated benchmark and may memorize its anomalies"
+        ]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sfexplain.cli"):
+            code, normal_only = self.run_eval(
+                tmp_path, "normal_only", extra=("--analyst-csv", self.write_analyst_csv(tmp_path, 0))
+            )
+        assert code == 0
+        assert caplog.messages == ["analyst training data has no anomalies; using the benchmark itself"]
+        for name in ("summary.csv", "per_point.csv"):
+            assert (normal_only / name).read_bytes() == (without / name).read_bytes()
 
     def test_analyst_csv_with_reordered_columns_fails_with_message(self, tmp_path, capsys):
         analyst_csv = tmp_path / "analyst.csv"
@@ -343,6 +406,21 @@ class TestBenchgen:
         assert code == 0
         assert rest.exists()
         assert len(rest.read_text().strip().splitlines()) == 1 + 240 - 50
+
+
+    def test_rest_out_without_remainder_fails_with_message(self, tmp_path, capsys):
+        mother = write_mother_csv(tmp_path / "mother.csv", np.random.default_rng(11), per_class=10)
+        rest = tmp_path / "rest.csv"
+        code = main(
+            [
+                "benchgen", mother, "-o", str(tmp_path / "b.csv"), "--label-column", "cls",
+                "--anomaly-class", "a", "--fraction", "0.5", "--size", "20", "--rest-out", str(rest),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no usable remainder rows left for --rest-out"]
+        assert not rest.exists()
 
 
 class TestRunConfig:

@@ -287,6 +287,15 @@ class TestGmmLogMarginal:
             gmm_log_marginal(model, np.zeros(2), [2])
 
 
+class TestEgmmConfig:
+    # Built from Python, not JSON: a bool passed the check, and an integer
+    # past float64's range raised a bare OverflowError.
+    @pytest.mark.parametrize("em_tol", [True, 10**400], ids=["bool", "int-past-float64"])
+    def test_em_tol_must_be_a_finite_number(self, em_tol):
+        with pytest.raises(ValueError, match="em_tol finite and > 0"):
+            EgmmConfig(em_tol=em_tol)
+
+
 class TestEgmmFit:
     def test_default_config_counts(self):
         rng = np.random.default_rng(31)

@@ -24,10 +24,16 @@ from sfexplain.evaluate import (
 )
 from sfexplain.explain import Method, explain_seq_marg
 from sfexplain.forest import ForestConfig
+from sfexplain.seeding import TAG_ANALYST, derive_seed
 
 UNIFORM = ThresholdDistribution.uniform()
 SMALL_EGMM = EgmmConfig(members_per_k=2, component_counts=(2, 3), seed=0)
 SMALL_FOREST = ForestConfig(tree_count=30)
+
+
+def analyst_for(dataset, config):
+    """The analyst sfexplain evaluate builds from the benchmark alone."""
+    return AnalystModel(dataset, SMALL_FOREST, seed=derive_seed(config.seed, TAG_ANALYST))
 
 
 class StubAnalyst:
@@ -175,9 +181,7 @@ class TestRunEvaluation:
     def test_constant_analyst_censors_everything(self):
         dataset = constant_prob_dataset()
         config = EvalConfig(methods=frozenset({Method.RANDOM}), random_repeats=5, seed=1)
-        report = run_evaluation(
-            dataset, config, forest_config=SMALL_FOREST, egmm=self.prefit_egmm()
-        )
+        report = run_evaluation(dataset, config, self.prefit_egmm(), analyst_for(dataset, config))
         summary = report.per_method[Method.RANDOM]
         # k = n = 2, so every repeat censors at 3.
         assert summary.mean_expected_mfp == pytest.approx(3.0)
@@ -186,9 +190,7 @@ class TestRunEvaluation:
     def test_single_anomaly_has_zero_ci(self):
         dataset = constant_prob_dataset()
         config = EvalConfig(methods=frozenset({Method.RANDOM}), random_repeats=3, seed=1)
-        report = run_evaluation(
-            dataset, config, forest_config=SMALL_FOREST, egmm=self.prefit_egmm()
-        )
+        report = run_evaluation(dataset, config, self.prefit_egmm(), analyst_for(dataset, config))
         summary = report.per_method[Method.RANDOM]
         assert summary.n_anomalies == 1
         assert summary.ci95_half_width == 0.0
@@ -201,9 +203,7 @@ class TestRunEvaluation:
             random_repeats=20,
             seed=2,
         )
-        report = run_evaluation(
-            dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST
-        )
+        report = run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
         seq = report.per_method[Method.SEQ_MARG]
         rnd = report.per_method[Method.RANDOM]
         assert seq.mean_expected_mfp < rnd.mean_expected_mfp
@@ -216,8 +216,8 @@ class TestRunEvaluation:
             random_repeats=5,
             seed=3,
         )
-        r1 = run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
-        r2 = run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
+        r1 = run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
+        r2 = run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
         assert r1 == r2
 
     @pytest.mark.parametrize("mode", list(DetectorMode))
@@ -242,7 +242,7 @@ class TestRunEvaluation:
             np.random.default_rng(8), n_normal=120, n_anomaly=20, n_features=4, shift=3.0
         )
         config = EvalConfig(top_fraction=0.5, random_repeats=5, seed=4)
-        report = run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
+        report = run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
         assert_opt_oracle_dominates(report)
 
     def test_method_failure_aborts_the_report(self):
@@ -259,7 +259,7 @@ class TestRunEvaluation:
         )
         egmm = egmm_fit(points, EgmmConfig(members_per_k=1, component_counts=(1,), seed=1))
         with pytest.raises(CombinatorialBudgetExceeded):
-            run_evaluation(dataset, config, forest_config=SMALL_FOREST, egmm=egmm)
+            run_evaluation(dataset, config, egmm, analyst_for(dataset, config))
 
     def test_rejects_dataset_without_anomalies(self):
         rng = np.random.default_rng(9)
@@ -269,24 +269,23 @@ class TestRunEvaluation:
             feature_names=("a", "b"),
         )
         with pytest.raises(ValueError, match="anomaly"):
-            run_evaluation(dataset, EvalConfig(), egmm=self.prefit_egmm())
+            run_evaluation(dataset, EvalConfig(), self.prefit_egmm(), analyst_for(dataset, EvalConfig()))
 
-    @pytest.mark.parametrize("prebuilt", [False, True], ids=["analyst-data", "prebuilt-analyst"])
     @pytest.mark.parametrize(
         "names", [("f1", "f0", "f2"), ("f0", "f1", "f2", "f3"), ("f0", "f1")], ids=["reordered", "wider", "narrower"]
     )
-    def test_analyst_columns_must_be_the_benchmarks(self, names, prebuilt):
+    def test_analyst_columns_must_be_the_benchmarks(self, names):
         # At the same width the analyst would silently read the wrong columns;
         # at another it used to fail deep in an explainer with a bare error.
         rng = np.random.default_rng(15)
         dataset = make_labeled_dataset(rng, n_normal=60, n_anomaly=10)
         pool = make_labeled_dataset(rng, n_normal=60, n_anomaly=10, n_features=len(names))
         analyst_data = Dataset(points=pool.points, labels=pool.labels, feature_names=names)
-        given = {"analyst": AnalystModel(analyst_data, SMALL_FOREST)} if prebuilt else {"analyst_data": analyst_data}
+        analyst = AnalystModel(analyst_data, SMALL_FOREST)
         egmm = egmm_fit(dataset.points, EgmmConfig(members_per_k=1, component_counts=(2,), seed=0))
         expected = f"the analyst's columns {list(names)} are not the benchmark's ['f0', 'f1', 'f2']"
         with pytest.raises(SfexplainError, match=re.escape(expected)):
-            run_evaluation(dataset, EvalConfig(top_fraction=1.0, random_repeats=2, seed=5), egmm=egmm, **given)
+            run_evaluation(dataset, EvalConfig(top_fraction=1.0, random_repeats=2, seed=5), egmm=egmm, analyst=analyst)
 
     def test_separate_analyst_data_used(self):
         rng = np.random.default_rng(10)
@@ -295,16 +294,9 @@ class TestRunEvaluation:
         config = EvalConfig(
             top_fraction=1.0, methods=frozenset({Method.IND_MARG}), seed=5
         )
-        with_split = run_evaluation(
-            dataset,
-            config,
-            egmm_config=SMALL_EGMM,
-            forest_config=SMALL_FOREST,
-            analyst_data=analyst_data,
-        )
-        without = run_evaluation(
-            dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST
-        )
+        egmm = egmm_fit(dataset.points, SMALL_EGMM)
+        with_split = run_evaluation(dataset, config, egmm, analyst_for(analyst_data, config))
+        without = run_evaluation(dataset, config, egmm, analyst_for(dataset, config))
         assert with_split != without
 
 
@@ -351,7 +343,7 @@ class TestReportOutput:
             random_repeats=3,
             seed=6,
         )
-        return run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
+        return run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
 
     def test_summary_csv_has_one_row_per_method(self, tmp_path):
         report = self.small_report()
@@ -377,7 +369,7 @@ class TestReportOutput:
             random_repeats=2,
             seed=7,
         )
-        report = run_evaluation(dataset, config, egmm_config=SMALL_EGMM, forest_config=SMALL_FOREST)
+        report = run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
         assert report.method_label(Method.IND_MARG) == "indmarg*"
         assert report.method_label(Method.RANDOM) == "random"
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -77,7 +78,13 @@ class TestFit:
     def test_single_class_rejected(self):
         X = np.zeros((10, 2))
         with pytest.raises(SingleClassTrainingData):
-            BaggedForest.fit(X, np.zeros(10, bool), ForestConfig())
+            BaggedForest.fit(X, np.zeros(10, bool), ForestConfig(), seed=0)
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 2, 1)], ids=["1-d", "3-d"])
+    def test_rows_must_form_a_matrix(self, shape):
+        y = np.arange(10) % 2 == 1
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            BaggedForest.fit(np.zeros(shape), y, ForestConfig(), seed=0)
 
     def test_perfect_stump_probability(self):
         # One depth-1 tree on perfectly separated data: the anomaly-side leaf
@@ -172,6 +179,36 @@ class TestGrower:
                 stack.append((int(forest.left[node]), reach[goes_left], depth + 1))
                 stack.append((int(forest.left[node]) + 1, reach[~goes_left], depth + 1))
         assert checked >= 5
+
+    @pytest.mark.parametrize("data", ["random", "tied", "adjacent-floats", "near-float-max"])
+    def test_every_split_sends_training_rows_both_ways(self, data):
+        # A split scored as the best cut must move rows: routed down every
+        # tree, the training rows reach both children of each internal node
+        # they reach.
+        rng = np.random.default_rng(31)
+        if data in ("adjacent-floats", "near-float-max"):
+            # No float lies between 1 and its successor; 1e308 + 1.5e308 overflows.
+            pair = [1.0, np.nextafter(1.0, 2.0)] if data == "adjacent-floats" else [1e308, 1.5e308]
+            X = np.repeat(np.array(pair)[:, None], 10, axis=0)
+            y = np.repeat([False, True], 10)
+            config = ForestConfig(tree_count=1, max_depth=3, min_leaf=1)
+        else:
+            X = rng.normal(size=(150, 3))
+            if data == "tied":  # whole numbers: few distinct values per feature
+                X = np.round(X)
+            y = rng.random(150) < 0.2 + 0.5 * (X[:, 0] > 0)
+            config = ForestConfig(tree_count=8, max_depth=6, min_leaf=2)
+        forest = BaggedForest.fit(X, y, config, seed=3)
+        reached = np.zeros(len(forest.feature), dtype=bool)
+        for x in X:
+            for node in forest.roots:
+                reached[node] = True
+                while forest.feature[node] >= 0:
+                    node = forest.left[node] + (not x[forest.feature[node]] < forest.value[node])
+                    reached[node] = True
+        left = forest.left[reached & (forest.feature >= 0)]
+        assert len(left)
+        assert reached[left].all() and reached[left + 1].all()
 
     def test_node_count_sums_over_trees(self):
         rng = np.random.default_rng(6)
