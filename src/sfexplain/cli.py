@@ -30,15 +30,16 @@ from .errors import SfexplainError
 from .evaluate import (
     DetectorMode,
     EvalConfig,
+    check_evaluation_inputs,
     format_summary_table,
     run_evaluation,
     select_evaluation_anomalies,
     write_per_point_csv,
     write_summary_csv,
 )
-from .explain import DENSITY_METHODS, Method, density_explainers, explain_random
+from .explain import Method, explain_point
 from .forest import ForestConfig
-from .seeding import TAG_ANALYST, TAG_EGMM, TAG_RANDOM_SFE, derive_seed
+from .seeding import TAG_ANALYST, TAG_EGMM, derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +93,6 @@ def cmd_explain(args) -> int:
         raise SfexplainError(
             f"model expects {model.n} features, dataset has {dataset.n_features}"
         )
-    k = args.k if args.k is not None else dataset.n_features
     if args.point:
         indices = args.point
         outside = [i for i in indices if not 0 <= i < dataset.n_points]
@@ -103,16 +103,10 @@ def cmd_explain(args) -> int:
         indices = select_evaluation_anomalies(ranking.tolist(), dataset.labels, args.top_fraction)
 
     method = Method(args.method)
-    explainers = density_explainers()
-    rows = []
-    for idx in indices:
-        if method is Method.RANDOM:
-            sfe = explain_random(
-                dataset.n_features, k, seed=derive_seed(config.seed, TAG_RANDOM_SFE, idx, 0)
-            )
-        else:
-            sfe = explainers[method](model, dataset.points[idx], k)
-        rows.append(sfe.csv_row(idx))
+    rows = [
+        explain_point(model, dataset.points[idx], method, args.k, config.seed, idx)[0].csv_row(idx)
+        for idx in indices
+    ]
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -135,18 +129,18 @@ def cmd_evaluate(args) -> int:
     if args.seed is not None or config.egmm is None:
         egmm_config = replace(egmm_config, seed=derive_seed(config.seed, TAG_EGMM))
 
-    analyst_data = None
+    held_out = None
     if args.analyst_csv:
-        analyst_data = load_csv(args.analyst_csv, args.label_column, set(args.anomaly_value))
-    if analyst_data is None:
+        held_out = load_csv(args.analyst_csv, args.label_column, set(args.anomaly_value))
+    analyst_data = held_out if held_out is not None and held_out.labels.any() else dataset
+    check_evaluation_inputs(dataset, analyst_data)
+    if held_out is None:
         logger.warning(
             "no separate analyst training data; the analyst trains on the "
             "evaluated benchmark and may memorize its anomalies"
         )
-        analyst_data = dataset
-    elif not analyst_data.labels.any():
+    elif analyst_data is dataset:
         logger.warning("analyst training data has no anomalies; using the benchmark itself")
-        analyst_data = dataset
     analyst = AnalystModel(analyst_data, config.forest, seed=derive_seed(config.seed, TAG_ANALYST))
 
     report = run_evaluation(dataset, eval_config, egmm_fit(dataset.points, egmm_config), analyst)
@@ -209,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("model", help="fitted model file")
     p_explain.add_argument("csv", help="dataset CSV to explain")
     p_explain.add_argument(
-        "--method", required=True, choices=[m.value for m in (*DENSITY_METHODS, Method.RANDOM)]
+        "--method", required=True, choices=[m.value for m in Method if m is not Method.OPT_ORACLE]
     )
     p_explain.add_argument("--k", type=int, default=None, help="explanation length (default: n)")
     p_explain.add_argument("-o", "--out", required=True, help="output CSV of explanations")

@@ -52,6 +52,17 @@ class InsufficientPoints(SfexplainError):
         super().__init__(f"need {needed} {group} points, mother set has {available}")
 
 
+def _point_matrix(points) -> np.ndarray:
+    """A read-only float64 copy of points, checked to be a nonempty finite matrix."""
+    points = np.array(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
+        raise ValueError(f"points must be a nonempty 2D matrix, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    points.setflags(write=False)
+    return points
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable labeled point matrix.
@@ -67,12 +78,8 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
+        points = _point_matrix(self.points)
         labels = np.array(self.labels, dtype=bool)
-        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-            raise ValueError(f"points must be a nonempty 2D matrix, got shape {points.shape}")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
         if labels.shape != (points.shape[0],):
             raise ValueError("labels length must match the number of points")
         if labels.all():
@@ -80,7 +87,6 @@ class Dataset:
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != points.shape[1]:
             raise ValueError("feature_names length must match the number of columns")
-        points.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
@@ -108,15 +114,10 @@ class MotherSet:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-            raise ValueError(f"points must be a nonempty 2D matrix, got shape {points.shape}")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
+        points = _point_matrix(self.points)
         classes = tuple(str(c) for c in self.classes)
         if len(classes) != points.shape[0]:
             raise ValueError("classes length must match the number of points")
-        points.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "feature_names", tuple(str(c) for c in self.feature_names))

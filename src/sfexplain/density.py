@@ -467,10 +467,8 @@ def egmm_fit(points: np.ndarray, config: EgmmConfig | None = None, workers: int 
     else:
         members = [train_member(i) for i in range(len(ks))]
 
-    every = np.arange(X.shape[1])
-    scores = np.array(
-        [float(np.mean(_log_density(identity_egmm([m]), Z, every))) for m in members]
-    )
+    terms = (_component_log_likelihoods(Z, m.weights, m.means, m.covariances) for m in members)
+    scores = np.array([float(np.mean(logsumexp(t, axis=1))) for t in terms])
     n_discard = int(math.floor(config.retention_quantile * len(members)))
     threshold = np.sort(scores)[n_discard]
     retained = tuple(m for m, s in zip(members, scores) if s >= threshold)

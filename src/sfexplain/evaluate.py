@@ -25,14 +25,10 @@ from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expec
 from .dataset import Dataset
 from .density import EgmmModel, rank_points
 from .errors import SfexplainError
-from .explain import DENSITY_METHODS, Method, density_explainers, explain_random
-from .seeding import TAG_RANDOM_SFE, derive_seed
+from .explain import Method, density_explainers, explain_point
 
 OPT_ORACLE_SIZE_CAP = 10
 OPT_ORACLE_BUDGET = 1_000_000
-
-ALL_METHODS = frozenset(Method)
-METHOD_ORDER = (*DENSITY_METHODS, Method.RANDOM, Method.OPT_ORACLE)
 
 
 class NoAnomaliesSelected(SfexplainError):
@@ -56,7 +52,7 @@ class EvalConfig:
     max_prefix: int | None = None
     thresholds: ThresholdDistribution = field(default_factory=ThresholdDistribution.uniform)
     random_repeats: int = 100
-    methods: frozenset[Method] = ALL_METHODS
+    methods: frozenset[Method] = frozenset(Method)
     detector_mode: DetectorMode = DetectorMode.EGMM
     seed: int = 0
 
@@ -101,9 +97,11 @@ class EvaluationReport:
         counts = {s.n_anomalies for s in self.per_method.values()}
         if len(counts) > 1:
             raise ValueError("methods must all cover the same anomalies")
+        per_method = {Method(m): s for m, s in self.per_method.items()}
+        object.__setattr__(self, "per_method", {m: per_method[m] for m in Method if m in per_method})
 
     def method_label(self, method: Method) -> str:
-        starred = self.detector_mode is DetectorMode.ORACLE and method in DENSITY_METHODS
+        starred = self.detector_mode is DetectorMode.ORACLE and method in density_explainers()
         return method.value + ("*" if starred else "")
 
 
@@ -175,6 +173,18 @@ def _summary(values: list[float], censored_flags: list[bool]) -> MethodSummary:
     )
 
 
+def check_evaluation_inputs(dataset: Dataset, analyst_data: Dataset) -> None:
+    """Raise unless the benchmark has an anomaly and the analyst's training
+    columns are the benchmark's, in order."""
+    if dataset.n_anomalies < 1:
+        raise ValueError("evaluation needs at least one anomaly in the dataset")
+    if analyst_data.feature_names != dataset.feature_names:
+        raise SfexplainError(
+            f"the analyst's columns {list(analyst_data.feature_names)} "
+            f"are not the benchmark's {list(dataset.feature_names)}"
+        )
+
+
 def run_evaluation(
     dataset: Dataset, config: EvalConfig, egmm: EgmmModel, analyst: AnalystModel
 ) -> EvaluationReport:
@@ -189,13 +199,7 @@ def run_evaluation(
     of its curves' expected MFPs, censored if any curve was, and its curve is
     the mean curve.
     """
-    if dataset.n_anomalies < 1:
-        raise ValueError("evaluation needs at least one anomaly in the dataset")
-    if analyst.training_data.feature_names != dataset.feature_names:
-        raise SfexplainError(
-            f"the analyst's columns {list(analyst.training_data.feature_names)} "
-            f"are not the benchmark's {list(dataset.feature_names)}"
-        )
+    check_evaluation_inputs(dataset, analyst.training_data)
     n = dataset.n_features
     k = n if config.max_prefix is None else min(config.max_prefix, n)
 
@@ -204,10 +208,8 @@ def run_evaluation(
     detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
     opt_k = min(k, OPT_ORACLE_SIZE_CAP)
 
-    explainers = density_explainers()
-
     per_point: list[PointResult] = []
-    values: dict[Method, list[float]] = {m: [] for m in METHOD_ORDER if m in config.methods}
+    values: dict[Method, list[float]] = {m: [] for m in Method if m in config.methods}
     flags: dict[Method, list[bool]] = {m: [] for m in values}
 
     for idx in selected:
@@ -215,17 +217,9 @@ def run_evaluation(
         for method in values:
             if method is Method.OPT_ORACLE:
                 curves = [tuple(p for _, p in explain_opt_oracle(analyst, x, opt_k))]
-            elif method is Method.RANDOM:
-                curves = [
-                    certainty_curve(
-                        analyst,
-                        x,
-                        explain_random(n, k, seed=derive_seed(config.seed, TAG_RANDOM_SFE, idx, r)),
-                    )
-                    for r in range(config.random_repeats)
-                ]
             else:
-                curves = [certainty_curve(analyst, x, explainers[method](detector, x, k))]
+                sfes = explain_point(detector, x, method, k, config.seed, idx, config.random_repeats)
+                curves = [certainty_curve(analyst, x, sfe) for sfe in sfes]
             strict = method is Method.OPT_ORACLE
             scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
             value = float(np.mean([v for v, _ in scored]))
@@ -262,10 +256,7 @@ def write_summary_csv(report: EvaluationReport, path: str | Path) -> None:
         writer.writerow(
             ["method", "mean_expected_mfp", "ci95_half_width", "n_anomalies", "censored_count"]
         )
-        for method in METHOD_ORDER:
-            summary = report.per_method.get(method)
-            if summary is None:
-                continue
+        for method, summary in report.per_method.items():
             writer.writerow(
                 [
                     report.method_label(method),
@@ -295,10 +286,7 @@ def write_per_point_csv(report: EvaluationReport, path: str | Path) -> None:
 
 def format_summary_table(report: EvaluationReport) -> str:
     lines = [f"{'method':<12} {'mean_mfp':>9} {'ci95':>7} {'n':>4} {'censored':>9}"]
-    for method in METHOD_ORDER:
-        summary = report.per_method.get(method)
-        if summary is None:
-            continue
+    for method, summary in report.per_method.items():
         lines.append(
             f"{report.method_label(method):<12} "
             f"{summary.mean_expected_mfp:>9.3f} "

@@ -27,8 +27,12 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from .seeding import TAG_RANDOM_SFE, derive_seed
+
 
 class Method(str, Enum):
+    """Every method the protocol scores, in reporting order."""
+
     IND_MARG = "indmarg"
     SEQ_MARG = "seqmarg"
     IND_DO = "inddo"
@@ -189,8 +193,8 @@ def explain_random(n: int, k: int | None = None, seed: int = 0) -> Sfe:
 
 
 def density_explainers() -> dict[Method, Callable[..., Sfe]]:
-    """Each method computable from a density oracle, in canonical reporting
-    order, mapped to its explainer ``(f, x, k) -> Sfe``.
+    """Each method computable from a density oracle, mapped to its explainer
+    ``(f, x, k) -> Sfe``.
 
     The table is built on every call from the module-level names, so a
     wrapper installed on one of them (a profiler, say) sees every call.
@@ -203,4 +207,17 @@ def density_explainers() -> dict[Method, Callable[..., Sfe]]:
     }
 
 
-DENSITY_METHODS = tuple(density_explainers())
+def explain_point(
+    f: DensityOracle, x: np.ndarray, method: Method, k: int | None, seed: int, point: int, repeats: int = 1
+) -> list[Sfe]:
+    """A method's explanations of x, the point numbered ``point``: one from a
+    density method, or ``repeats`` random orderings, repeat r seeded
+    ``derive_seed(seed, TAG_RANDOM_SFE, point, r)``. ``optoracle`` forms no
+    SFE (its best subsets need not be nested), so it raises KeyError.
+    """
+    if method is Method.RANDOM:
+        return [
+            explain_random(len(x), k, seed=derive_seed(seed, TAG_RANDOM_SFE, point, r))
+            for r in range(repeats)
+        ]
+    return [density_explainers()[method](f, x, k)]

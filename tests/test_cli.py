@@ -341,7 +341,14 @@ class TestEvaluate:
         for name in ("summary.csv", "per_point.csv"):
             assert (normal_only / name).read_bytes() == (without / name).read_bytes()
 
-    def test_analyst_csv_with_reordered_columns_fails_with_message(self, tmp_path, capsys):
+    def forbid_fit(self, monkeypatch):
+        def fit(*args, **kwargs):
+            pytest.fail("egmm_fit ran before the inputs were checked")
+
+        monkeypatch.setattr(sfexplain.cli, "egmm_fit", fit)
+
+    def test_analyst_csv_with_reordered_columns_fails_with_message(self, tmp_path, monkeypatch, capsys):
+        self.forbid_fit(monkeypatch)
         analyst_csv = tmp_path / "analyst.csv"
         pool = write_dataset_csv(analyst_csv, np.random.default_rng(6), n_normal=80, n_anomaly=10)
         save_csv(dataclasses.replace(pool, feature_names=("f1", "f0", "f2")), analyst_csv)
@@ -353,6 +360,16 @@ class TestEvaluate:
         ]
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_benchmark_without_anomalies_fails_before_fitting(self, tmp_path, monkeypatch, capsys, caplog):
+        self.forbid_fit(monkeypatch)
+        csv_path = tmp_path / "bench.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(5), n_normal=150, n_anomaly=0)
+        with caplog.at_level("WARNING", logger="sfexplain.cli"):
+            code = main(["evaluate", str(csv_path), "-o", str(tmp_path / "out"), "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: evaluation needs at least one anomaly in the dataset"]
+        assert caplog.messages == []
 
 
 class TestBenchgen:
@@ -543,3 +560,19 @@ class TestRunConfig:
         path = tmp_path / "c.json"
         path.write_text(text)
         assert RunConfig.load(path) == expected
+
+
+def test_readme_quick_tour_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(17)
+    names = ("f0", "f1", "f2")
+    for path, normals, anomalies in (("benchmark.csv", 190, 10), ("analyst.csv", 380, 20)):
+        points = rng.normal(size=(normals + anomalies, 3))
+        points[normals:, 1] += 4.0
+        labels = np.arange(normals + anomalies) >= normals
+        save_csv(Dataset(points=points, labels=labels, feature_names=names), tmp_path / path)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[1:]] == [m.value for m in sfexplain.Method]

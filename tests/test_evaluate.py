@@ -15,8 +15,11 @@ from sfexplain.evaluate import (
     CombinatorialBudgetExceeded,
     DetectorMode,
     EvalConfig,
+    EvaluationReport,
+    MethodSummary,
     NoAnomaliesSelected,
     explain_opt_oracle,
+    format_summary_table,
     run_evaluation,
     select_evaluation_anomalies,
     write_per_point_csv,
@@ -352,6 +355,28 @@ class TestReportOutput:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,mean_expected_mfp,ci95_half_width,n_anomalies,censored_count"
         assert len(lines) == 1 + len(report.per_method)
+
+    def test_methods_are_reported_in_method_order(self, tmp_path):
+        order = ["indmarg", "seqmarg", "inddo", "seqdo", "random", "optoracle"]
+        assert [m.value for m in Method] == order
+        dataset = make_labeled_dataset(np.random.default_rng(16), n_normal=60, n_anomaly=10)
+        config = EvalConfig(top_fraction=0.5, random_repeats=2, seed=8)
+        report = run_evaluation(dataset, config, egmm_fit(dataset.points, SMALL_EGMM), analyst_for(dataset, config))
+        summary = MethodSummary(2.0, 0.5, 3, 1)
+        backwards = EvaluationReport(
+            per_method={m: summary for m in reversed(Method)}, per_point=(), detector_mode=DetectorMode.EGMM
+        )
+        for written in (report, backwards):
+            path = tmp_path / "summary.csv"
+            write_summary_csv(written, path)
+            assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == order
+            assert [line.split()[0] for line in format_summary_table(written).splitlines()[1:]] == order
+
+    def test_report_keys_must_be_methods(self):
+        with pytest.raises(ValueError, match="'typo' is not a valid Method"):
+            EvaluationReport(
+                per_method={"typo": MethodSummary(2.0, 0.5, 3, 1)}, per_point=(), detector_mode=DetectorMode.EGMM
+            )
 
     def test_per_point_csv_row_count(self, tmp_path):
         report = self.small_report()

@@ -17,13 +17,16 @@ from sfexplain.density import (
 from sfexplain.explain import (
     Method,
     Sfe,
+    density_explainers,
     explain_ind_do,
     explain_ind_marg,
+    explain_point,
     explain_random,
     explain_seq_do,
     explain_seq_marg,
 )
 from sfexplain.forest import ForestConfig
+from sfexplain.seeding import TAG_RANDOM_SFE, derive_seed
 
 
 def std_normal_oracle(n):
@@ -221,6 +224,23 @@ class TestRandom:
 
     def test_scores_are_zero(self):
         assert explain_random(5, 3, seed=1).step_scores == (0.0, 0.0, 0.0)
+
+
+class TestExplainPoint:
+    def test_density_method_gives_its_explainer_output(self):
+        model, rng = fitted_egmm_oracle(seed=41, n=4)
+        x = rng.normal(size=4)
+        for method, explainer in density_explainers().items():
+            for k in (None, 2):
+                assert explain_point(model, x, method, k, seed=3, point=5, repeats=4) == [explainer(model, x, k)]
+
+    def test_random_repeat_r_of_point_p_has_its_own_seed(self):
+        sfes = explain_point(None, np.zeros(6), Method.RANDOM, 4, seed=3, point=5, repeats=3)
+        assert sfes == [explain_random(6, 4, seed=derive_seed(3, TAG_RANDOM_SFE, 5, r)) for r in range(3)]
+
+    def test_opt_oracle_gives_no_explanation(self):
+        with pytest.raises(KeyError):
+            explain_point(std_normal_oracle(3), np.zeros(3), Method.OPT_ORACLE, None, seed=0, point=0)
 
 
 class TestSharedProperties:
