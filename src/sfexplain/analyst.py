@@ -2,10 +2,12 @@
 
 The analyst answers "how likely is this point normal, seeing only these
 features?" by training one discriminative forest per feature subset, on
-demand, with an at-most-once cache. Revealing an explanation's features one
-at a time yields a certainty curve; the minimum feature prefix is how many
-features must be revealed before certainty drops to a detection threshold.
-``expected_mfp`` is the one place that rule is defined.
+demand. A forest's seed depends only on the analyst's seed and the subset,
+so a forest dropped from memory retrains bit for bit. Revealing an
+explanation's features one at a time yields a certainty curve; the minimum
+feature prefix is how many features must be revealed before certainty drops
+to a detection threshold. ``expected_mfp`` is the one place that rule is
+defined.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +29,12 @@ from .forest import BaggedForest, ForestConfig, MalformedForest
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
+
+# The most forests an analyst keeps in memory besides the one in use, least
+# recently used evicted first. Evaluation plans its forests and needs one at
+# a time; the memo serves single queries whose next subset is not known in
+# advance, such as the oracle-mode explainers' and a replay of the curves.
+MEMO_FORESTS = 64
 
 
 @dataclass(frozen=True)
@@ -57,14 +66,26 @@ class ThresholdDistribution:
 
 
 class AnalystModel:
-    """Per-subset classifier cache over a fixed labeled training set.
+    """Per-subset classifiers over a fixed labeled training set.
 
     Each subset's forest trains on the training data projected onto the
     subset, with a seed derived from (analyst seed, subset), so results do
-    not depend on query order. The cache is thread safe under one lock,
-    held while a missing forest is loaded or trained: a concurrent request
-    waits for it and then finds the forest in memory, so each subset trains
-    at most once.
+    not depend on query order, and a forest trained again is the same forest
+    bit for bit. Memory holds at most MEMO_FORESTS forests, least recently
+    used evicted first, plus the one in use.
+
+    There are two ways to query. ``classifier_for`` and ``prob_normal``
+    answer one subset at a time through the memo. ``prob_normal_table``
+    answers a whole plan, every (subset, point) pair an evaluation will ask
+    for, training each subset at most once and predicting all of that
+    subset's points in one call. Both go through one lock, held while a
+    missing forest is loaded or trained, so a concurrent request waits for
+    it and then finds the forest in the memo.
+
+    The counters keep one meaning on both paths: ``trained_count`` counts
+    forests trained, ``loaded_count`` forests loaded from disk, and
+    ``cache_hits`` every query beyond the first that a trained or loaded
+    forest answered.
 
     When cache_dir is set, fitted classifiers persist to disk, one .npz file
     per subset, keyed by a hash of the training data taken at construction
@@ -92,8 +113,8 @@ class AnalystModel:
         digest.update(repr(asdict(self.forest_config)).encode())
         digest.update(str(self.seed).encode())
         self._fingerprint = digest.hexdigest()[:16]
-        self._cache: dict[tuple[int, ...], BaggedForest] = {}
-        self._lock = threading.Lock()
+        self._memo: OrderedDict[tuple[int, ...], BaggedForest] = OrderedDict()
+        self._lock = threading.RLock()
         self.cache_hits = 0
         self.trained_count = 0
         self.loaded_count = 0
@@ -131,14 +152,20 @@ class AnalystModel:
         return forest
 
     def classifier_for(self, subset: Iterable[int]) -> BaggedForest:
-        """Return the forest for a feature subset, training it at most once."""
+        """Return the forest for a feature subset: from the memo, else loaded
+        or trained and put in the memo, evicting the least recently used
+        forest past MEMO_FORESTS."""
         key = subset_key(subset, self.n_features)
         with self._lock:
-            if key in self._cache:
-                self.cache_hits += 1
+            forest = self._memo.pop(key, None)
+            if forest is None:
+                forest = self._load_or_train(key)
             else:
-                self._cache[key] = self._load_or_train(key)
-            return self._cache[key]
+                self.cache_hits += 1
+            self._memo[key] = forest
+            if len(self._memo) > MEMO_FORESTS:
+                self._memo.popitem(last=False)
+            return forest
 
     def prob_normal(self, x: np.ndarray, subset: Iterable[int]) -> float:
         """P(normal | the point's values on the subset), in (0, 1)."""
@@ -146,6 +173,36 @@ class AnalystModel:
         forest = self.classifier_for(key)
         x = np.asarray(x, dtype=np.float64)
         return forest.prob_normal(x[list(key)])
+
+    def prob_normal_table(
+        self, plan: Mapping[tuple[int, ...], Mapping[int, int]], points: np.ndarray
+    ) -> dict[tuple[int, ...], dict[int, float]]:
+        """Answer a plan of queries: table[subset][i] is P(normal | points[i]
+        on the subset), equal to ``prob_normal(points[i], subset)``.
+
+        plan[subset][i] is how many queries ask for that pair; subsets must
+        be canonical (``subset_key``). Under the lock, subsets whose forests
+        are in the memo go first, so none is evicted before its turn; the
+        rest follow in sorted order. Each forest comes from classifier_for
+        and answers all of its subset's points in one ``prob_normal_many``
+        call. A forest the plan loaded or trained is then dropped, so the
+        pass holds one forest of its own at a time; entering the memo, it
+        may have evicted the least recently used forest there. Counters
+        advance as if each query were asked singly.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        table: dict[tuple[int, ...], dict[int, float]] = {}
+        with self._lock:
+            for key in sorted(plan, key=lambda key: (key not in self._memo, key)):
+                in_memo = key in self._memo
+                forest = self.classifier_for(key)
+                if not in_memo:
+                    del self._memo[key]
+                self.cache_hits += sum(plan[key].values()) - 1
+                rows = list(plan[key])
+                probs = forest.prob_normal_many(points[np.ix_(rows, key)])
+                table[key] = dict(zip(rows, probs.tolist()))
+        return table
 
 
 def certainty_curve(analyst: AnalystModel, x: np.ndarray, explanation: Sfe) -> tuple[float, ...]:

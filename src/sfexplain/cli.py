@@ -37,7 +37,7 @@ from .evaluate import (
     write_per_point_csv,
     write_summary_csv,
 )
-from .explain import Method, explain_point
+from .explain import Method, check_length, explain_point
 from .forest import ForestConfig
 from .seeding import TAG_ANALYST, TAG_EGMM, derive_seed
 
@@ -87,8 +87,9 @@ def cmd_fit(args) -> int:
 
 def cmd_explain(args) -> int:
     config = _load_config(args)
-    model = load_egmm(args.model)
     dataset = _load_dataset(args)
+    check_length(dataset.n_features, args.k)
+    model = load_egmm(args.model)
     if dataset.n_features != model.n:
         raise SfexplainError(
             f"model expects {model.n} features, dataset has {dataset.n_features}"

@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
+from .analyst import AnalystModel, ThresholdDistribution, expected_mfp
 from .dataset import Dataset
 from .density import EgmmModel, rank_points
 from .errors import SfexplainError
-from .explain import Method, density_explainers, explain_point
+from .explain import DensityOracle, Method, density_explainers, explain_point, subset_key
 
 OPT_ORACLE_SIZE_CAP = 10
 OPT_ORACLE_BUDGET = 1_000_000
@@ -123,6 +125,29 @@ def select_evaluation_anomalies(
     return selected
 
 
+def _check_opt_oracle_budget(n: int, max_size: int) -> None:
+    """Raise unless 1 <= max_size <= n and the subsets of sizes 1..max_size
+    of n features fit OPT_ORACLE_BUDGET."""
+    if not 1 <= max_size <= n:
+        raise ValueError(f"max_size must be in [1, {n}], got {max_size}")
+    total = sum(math.comb(n, i) for i in range(1, max_size + 1))
+    if total > OPT_ORACLE_BUDGET:
+        raise CombinatorialBudgetExceeded(
+            f"{total} subsets exceed the budget of {OPT_ORACLE_BUDGET}"
+        )
+
+
+def _best_subsets(
+    n: int, max_size: int, prob: Callable[[tuple[int, ...]], float]
+) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """For each size 1..max_size, the first subset in ``combinations`` order
+    minimizing prob, with its probability."""
+    return tuple(
+        min(((s, prob(s)) for s in combinations(range(n), size)), key=itemgetter(1))
+        for size in range(1, max_size + 1)
+    )
+
+
 def explain_opt_oracle(
     analyst: AnalystModel, x: np.ndarray, max_size: int
 ) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -134,18 +159,8 @@ def explain_opt_oracle(
     analyst queries.
     """
     n = analyst.n_features
-    if not 1 <= max_size <= n:
-        raise ValueError(f"max_size must be in [1, {n}], got {max_size}")
-    total = sum(math.comb(n, i) for i in range(1, max_size + 1))
-    if total > OPT_ORACLE_BUDGET:
-        raise CombinatorialBudgetExceeded(
-            f"{total} subsets exceed the budget of {OPT_ORACLE_BUDGET}"
-        )
-    best = []
-    for size in range(1, max_size + 1):
-        scored = ((s, analyst.prob_normal(x, s)) for s in combinations(range(n), size))
-        best.append(min(scored, key=itemgetter(1)))
-    return tuple(best)
+    _check_opt_oracle_budget(n, max_size)
+    return _best_subsets(n, max_size, lambda s: analyst.prob_normal(x, s))
 
 
 class AnalystDensityOracle:
@@ -156,6 +171,29 @@ class AnalystDensityOracle:
 
     def log_marginal(self, x: np.ndarray, subset: Sequence[int]) -> float:
         return math.log(self.analyst.prob_normal(x, subset))
+
+
+class _SubsetMemo:
+    """A density oracle for one point that asks f once per canonical subset."""
+
+    def __init__(self, f: DensityOracle, n: int):
+        self.f = f
+        self.n = n
+        self.values: dict[tuple[int, ...], float] = {}
+
+    def log_marginal(self, x: np.ndarray, subset: Sequence[int]) -> float:
+        key = subset_key(subset, self.n)
+        if key not in self.values:
+            self.values[key] = self.f.log_marginal(x, key)
+        return self.values[key]
+
+
+def _prefix_keys(order: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The canonical subset of each prefix of an ordering, shortest first."""
+    prefix: list[int] = []
+    for j in order:
+        insort(prefix, j)
+        yield tuple(prefix)
 
 
 def _summary(values: list[float], censored_flags: list[bool]) -> MethodSummary:
@@ -191,35 +229,69 @@ def run_evaluation(
     """Run the full protocol on one benchmark dataset with a fitted detector
     and an analyst, which should train on labeled data beyond the benchmark.
     The analyst's feature names must equal the benchmark's, in order, or
-    SfexplainError is raised.
+    SfexplainError is raised; an optoracle run past OPT_ORACLE_BUDGET raises
+    CombinatorialBudgetExceeded. Both are checked before any forest trains.
 
     Every method yields certainty curves for each anomaly: one for a density
     method, random_repeats for random, and the per-size best probabilities
     for optoracle (scored with the strict threshold). A row's MFP is the mean
     of its curves' expected MFPs, censored if any curve was, and its curve is
     the mean curve.
+
+    The run has three phases. First, every selected anomaly is explained by
+    every method but optoracle; the density methods of one anomaly share a
+    memo of subset log densities, so each distinct subset is queried once.
+    Second, the distinct (subset, anomaly) pairs of every curve prefix and
+    every optoracle subset go to ``AnalystModel.prob_normal_table``, which
+    trains each subset's forest at most once and answers its anomalies in
+    one call. Third, the curves, expected MFPs and summaries are read from
+    that table.
     """
     check_evaluation_inputs(dataset, analyst.training_data)
     n = dataset.n_features
     k = n if config.max_prefix is None else min(config.max_prefix, n)
+    opt_k = min(k, OPT_ORACLE_SIZE_CAP)
+    methods = [m for m in Method if m in config.methods]
+    if Method.OPT_ORACLE in methods:
+        _check_opt_oracle_budget(n, opt_k)
 
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
     detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
-    opt_k = min(k, OPT_ORACLE_SIZE_CAP)
+
+    # Each method's orderings of each anomaly, one row per explanation.
+    orders: dict[tuple[int, Method], np.ndarray] = {}
+    for idx in selected:
+        f = _SubsetMemo(detector, n)
+        for method in methods:
+            if method is not Method.OPT_ORACLE:
+                sfes = explain_point(f, dataset.points[idx], method, k, config.seed, idx, config.random_repeats)
+                orders[idx, method] = np.array([sfe.order for sfe in sfes])
+
+    plan: dict[tuple[int, ...], Counter[int]] = {}
+    for (idx, _), rows in orders.items():
+        for order in rows.tolist():
+            for key in _prefix_keys(order):
+                plan.setdefault(key, Counter())[idx] += 1
+    if Method.OPT_ORACLE in methods:
+        for size in range(1, opt_k + 1):
+            for key in combinations(range(n), size):
+                plan.setdefault(key, Counter()).update(selected)
+    table = analyst.prob_normal_table(plan, dataset.points)
+    del plan
 
     per_point: list[PointResult] = []
-    values: dict[Method, list[float]] = {m: [] for m in Method if m in config.methods}
-    flags: dict[Method, list[bool]] = {m: [] for m in values}
-
+    values: dict[Method, list[float]] = {m: [] for m in methods}
+    flags: dict[Method, list[bool]] = {m: [] for m in methods}
     for idx in selected:
-        x = dataset.points[idx]
-        for method in values:
+        for method in methods:
             if method is Method.OPT_ORACLE:
-                curves = [tuple(p for _, p in explain_opt_oracle(analyst, x, opt_k))]
+                curves = [tuple(p for _, p in _best_subsets(n, opt_k, lambda s: table[s][idx]))]
             else:
-                sfes = explain_point(detector, x, method, k, config.seed, idx, config.random_repeats)
-                curves = [certainty_curve(analyst, x, sfe) for sfe in sfes]
+                curves = [
+                    tuple(table[key][idx] for key in _prefix_keys(order))
+                    for order in orders[idx, method].tolist()
+                ]
             strict = method is Method.OPT_ORACLE
             scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
             value = float(np.mean([v for v, _ in scored]))

@@ -92,7 +92,9 @@ class Sfe:
         ]
 
 
-def _check_length(n: int, k: int | None) -> int:
+def check_length(n: int, k: int | None) -> int:
+    """The explanation length for n features: k, or n when k is None.
+    Raises ValueError unless 1 <= k <= n."""
     if k is None:
         k = n
     if not 1 <= k <= n:
@@ -106,7 +108,7 @@ def explain_ind_marg(f: DensityOracle, x: np.ndarray, k: int | None = None) -> S
     Uses exactly n singleton queries; ties break toward the lower index.
     """
     n = len(x)
-    k = _check_length(n, k)
+    k = check_length(n, k)
     values = [f.log_marginal(x, (j,)) for j in range(n)]
     order = sorted(range(n), key=lambda j: (values[j], j))[:k]
     return Sfe(order=tuple(order), step_scores=tuple(values[j] for j in order), method=Method.IND_MARG)
@@ -119,7 +121,7 @@ def explain_seq_marg(f: DensityOracle, x: np.ndarray, k: int | None = None) -> S
     gives the smallest joint marginal; ties break toward the lower index.
     """
     n = len(x)
-    k = _check_length(n, k)
+    k = check_length(n, k)
     chosen: list[int] = []
     scores: list[float] = []
     for _ in range(k):
@@ -142,7 +144,7 @@ def explain_ind_do(f: DensityOracle, x: np.ndarray, k: int | None = None) -> Sfe
     n = len(x)
     if n < 2:
         raise ValueError("dropout needs at least 2 features")
-    k = _check_length(n, k)
+    k = check_length(n, k)
     full = f.log_marginal(x, tuple(range(n)))
     dropped = [f.log_marginal(x, tuple(t for t in range(n) if t != j)) for j in range(n)]
     anchor = max(dropped + [full])
@@ -169,7 +171,7 @@ def explain_seq_do(f: DensityOracle, x: np.ndarray, k: int | None = None) -> Sfe
     n = len(x)
     if n < 2:
         raise ValueError("dropout needs at least 2 features")
-    k = _check_length(n, k)
+    k = check_length(n, k)
     chosen: list[int] = []
     scores: list[float] = []
     remaining = list(range(n))
@@ -187,7 +189,7 @@ def explain_seq_do(f: DensityOracle, x: np.ndarray, k: int | None = None) -> Sfe
 
 def explain_random(n: int, k: int | None = None, seed: int = 0) -> Sfe:
     """A uniformly random k-prefix of a random feature permutation."""
-    k = _check_length(n, k)
+    k = check_length(n, k)
     order = np.random.default_rng(seed).permutation(n)[:k]
     return Sfe(order=tuple(int(j) for j in order), step_scores=(0.0,) * k, method=Method.RANDOM)
 

@@ -55,6 +55,9 @@ class ForestConfig:
 
 
 NODE_ARRAYS = ("feature", "value", "left")
+# prob_normal_many takes rows in chunks of at most this many (row, node)
+# cells, which bounds its per-node temporaries (about 25 bytes a cell).
+PREDICT_CELLS = 1 << 16
 _INT32 = np.iinfo(np.int32)
 
 
@@ -275,6 +278,8 @@ class BaggedForest:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"training rows must form a 2-D matrix, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("training rows must be finite")
         y = np.asarray(y, dtype=bool)
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be one per training row")
@@ -319,6 +324,9 @@ class BaggedForest:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
+        rows = max(1, PREDICT_CELLS // len(self.feature))
+        if len(X) > rows:
+            return np.concatenate([self.prob_normal_many(X[i : i + rows]) for i in range(0, len(X), rows)])
         offset = np.arange(0, len(X) * len(self.feature), len(self.feature))[:, None]
         # step[i] is the node one test below node i, per row: left, or its
         # sibling left + 1 unless the value is below the threshold (a NaN

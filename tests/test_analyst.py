@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import sfexplain.analyst
 from conftest import make_labeled_dataset, make_single_deviant_dataset, save_five_array_forest
 from sfexplain.analyst import (
     AnalystModel,
@@ -16,7 +17,7 @@ from sfexplain.config import MalformedConfig, from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.evaluate import EvalConfig
 from sfexplain.explain import Method, Sfe
-from sfexplain.forest import BaggedForest, ForestConfig, SingleClassTrainingData
+from sfexplain.forest import NODE_ARRAYS, BaggedForest, ForestConfig, SingleClassTrainingData
 from sfexplain.seeding import derive_seed
 
 UNIFORM = ThresholdDistribution.uniform()
@@ -75,6 +76,41 @@ class TestCache:
         analyst.classifier_for({0, 1})
         assert analyst.trained_count == 1
         assert analyst.cache_hits == 1
+
+    def test_evicted_forest_retrains_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 2)
+        analyst = small_analyst()
+        first = analyst.classifier_for((0,))
+        analyst.classifier_for((1,))
+        analyst.classifier_for((2,))  # evicts (0,), the least recently used
+        again = analyst.classifier_for((0,))
+        assert again is not first
+        assert (analyst.trained_count, analyst.cache_hits) == (4, 0)
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        analyst.classifier_for((2,))  # a hit makes (2,) the most recent
+        analyst.classifier_for((1,))  # so (0,) is evicted, not (2,)
+        analyst.classifier_for((2,))
+        assert (analyst.trained_count, analyst.cache_hits) == (5, 2)
+
+    def test_table_answers_every_query_as_prob_normal(self, monkeypatch):
+        monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 2)
+        analyst = small_analyst()
+        points = np.random.default_rng(1).normal(size=(5, 3))
+        analyst.classifier_for((2,))
+        analyst.classifier_for((1,))  # the memo is full
+        # plan[subset][row] counts the queries of that pair: 9 in all.
+        plan = {(0,): {1: 2, 3: 1}, (0, 1, 2): {1: 1, 2: 1}, (1, 2): {0: 1}, (2,): {4: 3}}
+        table = analyst.prob_normal_table(plan, points)
+        # (2,) is answered from the memo before training could evict it, so
+        # the plan trains 3 forests and the other 9 - 3 queries are hits.
+        assert (analyst.trained_count, analyst.cache_hits) == (2 + 3, 9 - 3)
+        single = small_analyst()
+        assert table == {key: {i: single.prob_normal(points[i], key) for i in rows} for key, rows in plan.items()}
+        # The plan dropped the forests it trained and kept the memo's (2,).
+        analyst.classifier_for((2,))
+        analyst.classifier_for((0,))
+        assert (analyst.trained_count, analyst.cache_hits) == (6, 7)
 
     def test_forest_seed_derives_from_analyst_seed_and_subset(self):
         data = make_labeled_dataset(np.random.default_rng(3))

@@ -168,6 +168,19 @@ class TestExplain:
         assert capsys.readouterr().err.splitlines() == ["error: model expects 3 features, dataset has 4"]
         assert not out.exists()
 
+    def test_length_is_checked_before_the_model_is_read(self, tmp_path, capsys):
+        # The model path does not exist: the length must be rejected first,
+        # not after loading the model and ranking every point.
+        csv_path = tmp_path / "data.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(11), n_features=4)
+        out = tmp_path / "sfe.csv"
+        code = main(
+            ["explain", str(tmp_path / "missing.json"), str(csv_path), "--method", "seqmarg", "--k", "9", "-o", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: explanation length must be in [1, 4], got 9"
+        assert not out.exists()
+
     def test_unknown_method_rejected_with_choices(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         csv_path, model = self.fit_model(tmp_path, rng)

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.errors import SfexplainError
+import sfexplain.density
 from sfexplain.evaluate import (
+    OPT_ORACLE_SIZE_CAP,
     AnalystDensityOracle,
     CombinatorialBudgetExceeded,
     DetectorMode,
@@ -18,6 +21,8 @@ from sfexplain.evaluate import (
     EvaluationReport,
     MethodSummary,
     NoAnomaliesSelected,
+    PointResult,
+    _summary,
     explain_opt_oracle,
     format_summary_table,
     run_evaluation,
@@ -25,7 +30,7 @@ from sfexplain.evaluate import (
     write_per_point_csv,
     write_summary_csv,
 )
-from sfexplain.explain import Method, explain_seq_marg
+from sfexplain.explain import Method, density_explainers, explain_point, explain_seq_marg, subset_key
 from sfexplain.forest import ForestConfig
 from sfexplain.seeding import TAG_ANALYST, derive_seed
 
@@ -250,19 +255,26 @@ class TestRunEvaluation:
 
     def test_method_failure_aborts_the_report(self):
         # OptOracle on 40 features blows the subset budget; the whole run
-        # must fail rather than silently dropping the method.
+        # must fail rather than silently dropping the method, and before it
+        # trains any forest, also for the oracle-mode explainers.
         rng = np.random.default_rng(13)
         points = rng.normal(size=(60, 40))
         points[:6] += 4.0
         labels = np.zeros(60, bool)
         labels[:6] = True
         dataset = Dataset(points=points, labels=labels, feature_names=tuple(f"f{i}" for i in range(40)))
-        config = EvalConfig(
-            top_fraction=1.0, methods=frozenset({Method.IND_MARG, Method.OPT_ORACLE}), seed=1
-        )
         egmm = egmm_fit(points, EgmmConfig(members_per_k=1, component_counts=(1,), seed=1))
-        with pytest.raises(CombinatorialBudgetExceeded):
-            run_evaluation(dataset, config, egmm, analyst_for(dataset, config))
+        for mode in DetectorMode:
+            config = EvalConfig(
+                top_fraction=1.0,
+                methods=frozenset({Method.IND_MARG, Method.OPT_ORACLE}),
+                detector_mode=mode,
+                seed=1,
+            )
+            analyst = analyst_for(dataset, config)
+            with pytest.raises(CombinatorialBudgetExceeded):
+                run_evaluation(dataset, config, egmm, analyst)
+            assert analyst.trained_count == 0
 
     def test_rejects_dataset_without_anomalies(self):
         rng = np.random.default_rng(9)
@@ -301,6 +313,94 @@ class TestRunEvaluation:
         with_split = run_evaluation(dataset, config, egmm, analyst_for(analyst_data, config))
         without = run_evaluation(dataset, config, egmm, analyst_for(dataset, config))
         assert with_split != without
+
+
+def one_query_report(dataset, config, egmm, analyst):
+    """run_evaluation rebuilt one analyst query at a time, through
+    certainty_curve and explain_opt_oracle: the reference for the planned run."""
+    n = dataset.n_features
+    k = n if config.max_prefix is None else min(config.max_prefix, n)
+    ranking = sfexplain.density.rank_points(egmm, dataset)
+    selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
+    detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
+    methods = [m for m in Method if m in config.methods]
+    rows, values, flags = [], {m: [] for m in methods}, {m: [] for m in methods}
+    for idx in selected:
+        x = dataset.points[idx]
+        for method in methods:
+            if method is Method.OPT_ORACLE:
+                curves = [tuple(p for _, p in explain_opt_oracle(analyst, x, min(k, OPT_ORACLE_SIZE_CAP)))]
+            else:
+                sfes = explain_point(detector, x, method, k, config.seed, idx, config.random_repeats)
+                curves = [certainty_curve(analyst, x, sfe) for sfe in sfes]
+            scored = [expected_mfp(c, config.thresholds, strict=method is Method.OPT_ORACLE) for c in curves]
+            value = float(np.mean([v for v, _ in scored]))
+            censored = any(c for _, c in scored)
+            values[method].append(value)
+            flags[method].append(censored)
+            rows.append(PointResult(idx, method, value, censored, tuple(np.mean(curves, axis=0).tolist())))
+    per_method = {m: _summary(values[m], flags[m]) for m in methods}
+    return EvaluationReport(per_method, tuple(rows), config.detector_mode)
+
+
+class TestPlannedEvaluation:
+    """run_evaluation explains first, then asks the analyst one planned table."""
+
+    def setup(self, mode=DetectorMode.EGMM, methods=frozenset(Method), max_prefix=None):
+        # Six anomalies, each off on one feature; three rank in the top 10%.
+        points = np.random.default_rng(21).normal(size=(100, 4))
+        points[np.arange(6), np.arange(6) % 4] += 5.0
+        dataset = Dataset(points=points, labels=np.arange(100) < 6, feature_names=("a", "b", "c", "d"))
+        config = EvalConfig(
+            top_fraction=0.1, random_repeats=4, methods=methods, max_prefix=max_prefix, detector_mode=mode, seed=6
+        )
+        return dataset, config, egmm_fit(dataset.points, SMALL_EGMM)
+
+    @pytest.mark.parametrize("mode", list(DetectorMode))
+    @pytest.mark.parametrize("max_prefix", [None, 2])
+    def test_report_equals_the_one_query_report(self, mode, max_prefix):
+        dataset, config, egmm = self.setup(mode, max_prefix=max_prefix)
+        report = run_evaluation(dataset, config, egmm, analyst_for(dataset, config))
+        assert len({r.point_index for r in report.per_point}) >= 2
+        assert report == one_query_report(dataset, config, egmm, analyst_for(dataset, config))
+
+    @pytest.mark.parametrize(
+        "methods", [frozenset(Method), frozenset({Method.SEQ_DO, Method.RANDOM})], ids=["all", "seqdo-random"]
+    )
+    def test_cold_analyst_trains_each_distinct_subset_once(self, methods):
+        dataset, config, egmm = self.setup(methods=methods)
+        analyst = analyst_for(dataset, config)
+        report = run_evaluation(dataset, config, egmm, analyst)
+        queried = []
+        for idx in dict.fromkeys(r.point_index for r in report.per_point):
+            x = dataset.points[idx]
+            for method in config.methods - {Method.OPT_ORACLE}:
+                for sfe in explain_point(egmm, x, method, None, config.seed, idx, config.random_repeats):
+                    queried += [subset_key(sfe.order[: i + 1], 4) for i in range(len(sfe))]
+            if Method.OPT_ORACLE in config.methods:
+                queried += [s for size in range(1, 5) for s in combinations(range(4), size)]
+        distinct = len(set(queried))
+        assert (analyst.trained_count, analyst.loaded_count) == (distinct, 0)
+        assert analyst.cache_hits == len(queried) - distinct
+
+    def test_density_oracle_answers_each_subset_once_per_anomaly(self, monkeypatch):
+        dataset, config, egmm = self.setup(methods=frozenset(density_explainers()))
+        calls = []
+        query = sfexplain.density.egmm_log_marginal
+
+        def counting(model, x, subset):
+            calls.append((tuple(x), subset_key(subset, model.n)))
+            return query(model, x, subset)
+
+        monkeypatch.setattr(sfexplain.density, "egmm_log_marginal", counting)
+        report = run_evaluation(dataset, config, egmm, analyst_for(dataset, config))
+        planned = list(calls)
+        assert len(planned) == len(set(planned))
+        calls.clear()
+        for idx in dict.fromkeys(r.point_index for r in report.per_point):
+            for explainer in density_explainers().values():
+                explainer(egmm, dataset.points[idx])
+        assert set(planned) == set(calls) and len(planned) < len(calls)
 
 
 def per_tau_mfp_from_curve(curve, tau):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sfexplain.forest
 from conftest import save_five_array_forest
 from sfexplain.config import MalformedConfig, from_dict
 from sfexplain.forest import (
@@ -85,6 +86,13 @@ class TestFit:
         y = np.arange(10) % 2 == 1
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             BaggedForest.fit(np.zeros(shape), y, ForestConfig(), seed=0)
+
+    def test_rows_must_be_finite(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        X[3, 1], X[7, 2] = np.nan, np.inf
+        with pytest.raises(ValueError, match="training rows must be finite"):
+            BaggedForest.fit(X, np.arange(40) % 4 == 0, ForestConfig(tree_count=3), seed=0)
 
     def test_perfect_stump_probability(self):
         # One depth-1 tree on perfectly separated data: the anomaly-side leaf
@@ -235,7 +243,7 @@ class TestGrower:
         np.testing.assert_array_equal(forest.prob_normal_many(X), expected)
         assert [forest.prob_normal(x) for x in X] == expected.tolist()
 
-    def test_batch_prediction_equals_single_predictions_exactly(self):
+    def test_batch_prediction_equals_single_predictions_exactly(self, monkeypatch):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(150, 4))
         y = rng.random(150) < 0.2 + 0.5 * (X[:, 1] > 0)
@@ -243,6 +251,10 @@ class TestGrower:
         probe = rng.normal(size=(40, 4))
         batch = forest.prob_normal_many(probe)
         assert batch.tolist() == [forest.prob_normal(x) for x in probe]
+        # In chunks of fewer cells than 40 rows times the forest's nodes.
+        monkeypatch.setattr(sfexplain.forest, "PREDICT_CELLS", 1000)
+        assert len(probe) * len(forest.feature) > 2 * 1000
+        assert forest.prob_normal_many(probe).tolist() == batch.tolist()
 
     def test_rejects_node_arrays_that_are_not_a_forest(self):
         feature, value = np.array([0, -1, -1]), np.full(3, 0.5)
