@@ -31,9 +31,9 @@ from .seeding import derive_seed
 logger = logging.getLogger(__name__)
 
 # The most forests an analyst keeps in memory besides the one in use, least
-# recently used evicted first. Evaluation plans its forests and needs one at
-# a time; the memo serves single queries whose next subset is not known in
-# advance, such as the oracle-mode explainers' and a replay of the curves.
+# recently used evicted first. Only single queries fill it: those whose next
+# subset is not known in advance, such as the oracle-mode explainers' and a
+# replay of the curves. A planned table reads it and leaves it as it was.
 MEMO_FORESTS = 64
 
 
@@ -78,9 +78,9 @@ class AnalystModel:
     answer one subset at a time through the memo. ``prob_normal_table``
     answers a whole plan, every (subset, point) pair an evaluation will ask
     for, training each subset at most once and predicting all of that
-    subset's points in one call. Both go through one lock, held while a
-    missing forest is loaded or trained, so a concurrent request waits for
-    it and then finds the forest in the memo.
+    subset's points in one call, without changing the memo. Both go
+    through one lock, held while a missing forest is loaded or trained, so
+    a concurrent request waits for it.
 
     The counters keep one meaning on both paths: ``trained_count`` counts
     forests trained, ``loaded_count`` forests loaded from disk, and
@@ -114,7 +114,7 @@ class AnalystModel:
         digest.update(str(self.seed).encode())
         self._fingerprint = digest.hexdigest()[:16]
         self._memo: OrderedDict[tuple[int, ...], BaggedForest] = OrderedDict()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.cache_hits = 0
         self.trained_count = 0
         self.loaded_count = 0
@@ -168,11 +168,13 @@ class AnalystModel:
             return forest
 
     def prob_normal(self, x: np.ndarray, subset: Iterable[int]) -> float:
-        """P(normal | the point's values on the subset), in (0, 1)."""
-        key = subset_key(subset, self.n_features)
-        forest = self.classifier_for(key)
+        """P(normal | the point's values on the subset), in (0, 1). Raises
+        ValueError unless x has the analyst's n_features values."""
         x = np.asarray(x, dtype=np.float64)
-        return forest.prob_normal(x[list(key)])
+        if x.shape != (self.n_features,):
+            raise ValueError(f"x must have the analyst's {self.n_features} features, got shape {x.shape}")
+        key = subset_key(subset, self.n_features)
+        return self.classifier_for(key).prob_normal(x[list(key)])
 
     def prob_normal_table(
         self, plan: Mapping[tuple[int, ...], Mapping[int, int]], points: np.ndarray
@@ -181,27 +183,28 @@ class AnalystModel:
         on the subset), equal to ``prob_normal(points[i], subset)``.
 
         plan[subset][i] is how many queries ask for that pair; subsets must
-        be canonical (``subset_key``). Under the lock, subsets whose forests
-        are in the memo go first, so none is evicted before its turn; the
-        rest follow in sorted order. Each forest comes from classifier_for
-        and answers all of its subset's points in one ``prob_normal_many``
-        call. A forest the plan loaded or trained is then dropped, so the
-        pass holds one forest of its own at a time; entering the memo, it
-        may have evicted the least recently used forest there. Counters
-        advance as if each query were asked singly.
+        be canonical (``subset_key``). Under the lock, each subset's forest
+        answers all of its points in one ``prob_normal_many`` call. A forest
+        in the memo is read there, and every query it answers is a hit; a
+        missing one is loaded or trained, answers its points and is dropped,
+        so the pass holds one forest of its own at a time and leaves the
+        memo's forests and their order as they were. Counters advance as if
+        each query were asked singly.
         """
         points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != self.n_features:
+            raise ValueError(f"points must have the analyst's {self.n_features} features, got shape {points.shape}")
         table: dict[tuple[int, ...], dict[int, float]] = {}
         with self._lock:
-            for key in sorted(plan, key=lambda key: (key not in self._memo, key)):
-                in_memo = key in self._memo
-                forest = self.classifier_for(key)
-                if not in_memo:
-                    del self._memo[key]
-                self.cache_hits += sum(plan[key].values()) - 1
-                rows = list(plan[key])
-                probs = forest.prob_normal_many(points[np.ix_(rows, key)])
-                table[key] = dict(zip(rows, probs.tolist()))
+            for key, counts in plan.items():
+                hits = sum(counts.values())
+                forest = self._memo.get(key)
+                if forest is None:
+                    forest = self._load_or_train(key)
+                    hits -= 1
+                self.cache_hits += hits
+                probs = forest.prob_normal_many(points[np.ix_(list(counts), key)])
+                table[key] = dict(zip(counts, probs.tolist()))
         return table
 
 

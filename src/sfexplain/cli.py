@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyst import AnalystModel
-from .config import from_dict
+from .config import check_fields, from_dict
 from .dataset import (
     BenchmarkSpec,
     Dataset,
@@ -52,6 +52,9 @@ class RunConfig:
     egmm: EgmmConfig | None = None
     forest: ForestConfig | None = None
     eval: EvalConfig | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":

@@ -1,14 +1,15 @@
 """Configuration sections read from JSON objects.
 
-The config dataclasses are the schema: ``from_dict`` reads each value by its
-field's annotation, so no section or integer field is listed anywhere else.
+The config dataclasses are the schema: ``from_dict`` reads each section, and
+``check_fields`` checks each value, by its field's annotation, so no section
+or integer field is listed anywhere else.
 """
 
 import dataclasses
-import json
+import functools
 import math
 import typing
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import SfexplainError
 
@@ -22,13 +23,12 @@ def from_dict(cls, raw):
 
     The keys must be field names of cls. A field annotated with a dataclass D
     or ``D | None`` is read by from_dict(D, ...), taking null where None is
-    allowed; a field annotated ``int`` or ``int | None`` accepts only a JSON
-    integer (not a float, bool or string), and one annotated ``float`` no
-    bool; every other value goes to the constructor unchanged. Input that is
-    not an object, an unknown key, a non-integer integer field, a bool in a
-    float field, or a value the constructor rejects with a TypeError, KeyError
-    or ValueError raises MalformedConfig naming cls; a MalformedConfig from a
-    nested section passes through unchanged.
+    allowed; every other value goes to the constructor unchanged, whose
+    ``check_fields`` takes only a JSON integer (not a float, bool or string)
+    for an ``int`` field and no bool for a ``float`` one. Input that is not
+    an object, an unknown key, or a value the constructor rejects with a
+    TypeError, KeyError or ValueError raises MalformedConfig naming cls; a
+    MalformedConfig from a nested section passes through unchanged.
     """
     name = cls.__name__
     if not isinstance(raw, dict):
@@ -36,18 +36,12 @@ def from_dict(cls, raw):
     unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise MalformedConfig(f"unknown config keys for {name}: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
+    kinds = _field_kinds(cls)
     values = {}
     for key, value in raw.items():
-        kind, optional = _field_kind(hints[key])
-        if value is None and optional:
-            values[key] = None
-        elif dataclasses.is_dataclass(kind):
+        kind, optional = kinds[key]
+        if dataclasses.is_dataclass(kind) and not (value is None and optional):
             values[key] = from_dict(kind, value)
-        elif (kind is int and type(value) is not int) or (kind is float and isinstance(value, bool)):
-            want = "integer" if kind is int else "number"
-            got = json.dumps(value, default=repr)
-            raise MalformedConfig(f"malformed {name}: {key} must be a JSON {want}, got {got}")
         else:
             values[key] = value
     try:
@@ -56,12 +50,38 @@ def from_dict(cls, raw):
         raise MalformedConfig(f"malformed {name}: {exc!r}") from exc
 
 
-def _field_kind(hint) -> tuple[object, bool]:
-    """(the annotation without ``| None``, whether it allowed None)."""
-    args = typing.get_args(hint)
-    if len(args) == 2 and type(None) in args:
-        return next(a for a in args if a is not type(None)), True
-    return hint, False
+@functools.cache
+def _field_kinds(cls) -> dict[str, tuple[object, bool]]:
+    """Each field of cls: (its annotation without ``| None``, whether it allowed None)."""
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        if len(args) == 2 and type(None) in args:
+            kinds[f.name] = next(a for a in args if a is not type(None)), True
+        else:
+            kinds[f.name] = hints[f.name], False
+    return kinds
+
+
+def check_fields(config) -> None:
+    """Raise ValueError unless every ``int`` field of the config dataclass
+    holds an integer (``is_integer``) and every ``float`` field a real number
+    that is not a bool; a field annotated ``| None`` may also hold None.
+    Constructors call it before their range checks."""
+    for name, (kind, optional) in _field_kinds(type(config)).items():
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if kind is int and not is_integer(value):
+            raise ValueError(f"{name} must be an integer, not a bool, float or string; got {value!r}")
+        if kind is float and (isinstance(value, bool) or not isinstance(value, Real)):
+            raise ValueError(f"{name} must be a real number, not a bool or string; got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer, numpy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def is_finite_real(value) -> bool:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_fields
 from .errors import SfexplainError
 
 
@@ -137,6 +138,7 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "anomaly_classes", frozenset(str(c) for c in self.anomaly_classes))
         if not self.anomaly_classes:
             raise ValueError("anomaly_classes must be nonempty")

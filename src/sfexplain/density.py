@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -35,7 +34,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import logsumexp
 
-from .config import from_dict, is_finite_real
+from .config import check_fields, from_dict, is_finite_real, is_integer
 from .dataset import Dataset
 from .errors import SfexplainError
 from .explain import subset_key
@@ -128,11 +127,16 @@ class EgmmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Before check_fields, whose message for a bool em_tol is less specific.
+        iters_ok = is_integer(self.em_max_iters) and self.em_max_iters >= 1
+        if not (iters_ok and is_finite_real(self.em_tol) and self.em_tol > 0.0):
+            raise ValueError("em_max_iters must be a positive integer and em_tol finite and > 0")
+        check_fields(self)
         try:
             given = tuple(self.component_counts)
-            counts = () if any(isinstance(k, bool) for k in given) else tuple(map(operator.index, given))
         except TypeError:
-            counts = ()  # not a list of integers other than bools: rejected below
+            given = ()  # not a list: rejected below
+        counts = tuple(map(int, given)) if all(map(is_integer, given)) else ()
         object.__setattr__(self, "component_counts", counts)
         if self.members_per_k < 1:
             raise ValueError("members_per_k must be positive")
@@ -140,8 +144,6 @@ class EgmmConfig:
             raise ValueError("component_counts must be a nonempty list of positive integers")
         if not 0.0 <= self.retention_quantile < 1.0:
             raise ValueError("retention_quantile must be in [0, 1)")
-        if self.em_max_iters < 1 or not (is_finite_real(self.em_tol) and self.em_tol > 0.0):
-            raise ValueError("em_max_iters must be positive and em_tol finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +230,11 @@ def _log_density(model: EgmmModel, X: np.ndarray, idx: np.ndarray) -> np.ndarray
     covariance block, and combines the kernel's terms with log-sum-exp over
     components and then over members; the result is corrected by the
     standardization Jacobian, so it is a density over original feature units.
+    Raises ValueError unless each row has the model's n features.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != model.n:
+        raise ValueError(f"points must have the model's {model.n} features, got shape {X.shape}")
     Z = (X[:, idx] - model.shift[idx]) / model.scale[idx]
     if not np.all(np.isfinite(Z)):
         raise ValueError("query values must be finite on the queried features")
@@ -261,8 +266,6 @@ def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) ->
 
 def rank_points(model: EgmmModel, data: Dataset) -> np.ndarray:
     """Point indices sorted by ascending full-joint density, ties by index."""
-    if data.n_features != model.n:
-        raise ValueError("model dimensionality does not match the dataset")
     return _rank_by_score(_log_density(model, data.points, np.arange(model.n)))
 
 
@@ -539,7 +542,7 @@ def load_egmm(path: str | Path) -> EgmmModel:
         raise MalformedModelFile(f"{path}: unsupported model version {payload.get('version')}")
     try:
         n = payload["n"]
-        if type(n) is not int:
+        if not is_integer(n):
             raise TypeError(f"n must be a JSON integer, got {json.dumps(n)}")
         members = tuple(
             GmmModel(

@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .analyst import AnalystModel, ThresholdDistribution, expected_mfp
+from .config import check_fields
 from .dataset import Dataset
 from .density import EgmmModel, rank_points
 from .errors import SfexplainError
@@ -59,6 +60,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.top_fraction <= 1.0:
             raise ValueError("top_fraction must be in (0, 1]")
         if self.max_prefix is not None and self.max_prefix < 1:
@@ -238,9 +240,9 @@ def run_evaluation(
     of its curves' expected MFPs, censored if any curve was, and its curve is
     the mean curve.
 
-    The run has three phases. First, every selected anomaly is explained by
-    every method but optoracle; the density methods of one anomaly share a
-    memo of subset log densities, so each distinct subset is queried once.
+    The run has three phases. First, each method but optoracle explains
+    every selected anomaly in turn; each anomaly keeps one memo of subset
+    log densities, so each distinct subset is queried once per anomaly.
     Second, the distinct (subset, anomaly) pairs of every curve prefix and
     every optoracle subset go to ``AnalystModel.prob_normal_table``, which
     trains each subset's forest at most once and answers its anomalies in
@@ -261,9 +263,9 @@ def run_evaluation(
 
     # Each method's orderings of each anomaly, one row per explanation.
     orders: dict[tuple[int, Method], np.ndarray] = {}
-    for idx in selected:
-        f = _SubsetMemo(detector, n)
-        for method in methods:
+    memos = {idx: _SubsetMemo(detector, n) for idx in selected}
+    for method in methods:
+        for idx, f in memos.items():
             if method is not Method.OPT_ORACLE:
                 sfes = explain_point(f, dataset.points[idx], method, k, config.seed, idx, config.random_repeats)
                 orders[idx, method] = np.array([sfe.order for sfe in sfes])

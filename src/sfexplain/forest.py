@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_fields, is_integer
 from .errors import SfexplainError
 
 
@@ -48,6 +49,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.tree_count < 1:
             raise ValueError("tree_count must be >= 1")
         if self.max_depth < 1 or self.min_leaf < 1:
@@ -242,7 +244,7 @@ class BaggedForest:
             raise MalformedForest(f"value must be a float array, got dtype {value.dtype}")
         self.value = value.astype(np.float64, copy=False)
         self.left = _int32_nodes("left", left)
-        if isinstance(n_features, (bool, np.bool_)) or not isinstance(n_features, (int, np.integer)):
+        if not is_integer(n_features):
             raise MalformedForest(f"n_features must be an integer, got {n_features!r}")
         self.n_features = int(n_features)
         size = self.feature.size

@@ -99,15 +99,18 @@ class TestCache:
         points = np.random.default_rng(1).normal(size=(5, 3))
         analyst.classifier_for((2,))
         analyst.classifier_for((1,))  # the memo is full
+        memo = list(analyst._memo.items())
         # plan[subset][row] counts the queries of that pair: 9 in all.
         plan = {(0,): {1: 2, 3: 1}, (0, 1, 2): {1: 1, 2: 1}, (1, 2): {0: 1}, (2,): {4: 3}}
         table = analyst.prob_normal_table(plan, points)
-        # (2,) is answered from the memo before training could evict it, so
-        # the plan trains 3 forests and the other 9 - 3 queries are hits.
+        # (2,) is answered from the memo, so the plan trains 3 forests and
+        # the other 9 - 3 queries are hits.
         assert (analyst.trained_count, analyst.cache_hits) == (2 + 3, 9 - 3)
         single = small_analyst()
         assert table == {key: {i: single.prob_normal(points[i], key) for i in rows} for key, rows in plan.items()}
-        # The plan dropped the forests it trained and kept the memo's (2,).
+        # The plan dropped the forests it trained and left the memo as it
+        # was: the same forests, (2,) still the least recently used.
+        assert list(analyst._memo.items()) == memo
         analyst.classifier_for((2,))
         analyst.classifier_for((0,))
         assert (analyst.trained_count, analyst.cache_hits) == (6, 7)
@@ -296,6 +299,24 @@ class TestProbNormal:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             small_analyst().prob_normal(np.zeros(3), ())
+
+    @pytest.mark.parametrize(
+        "shape, subset", [((4,), (0, 1)), ((2,), (0,)), ((2,), (2,)), ((1, 3), (0,))], ids=str
+    )
+    def test_point_of_the_wrong_width_is_rejected(self, shape, subset):
+        # A 4-wide point was answered from its first features, and subset
+        # (2,) of a 2-wide point raised a bare IndexError.
+        analyst = small_analyst()
+        with pytest.raises(ValueError, match="analyst's 3 features"):
+            analyst.prob_normal(np.zeros(shape), subset)
+        assert analyst.trained_count == 0
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (3,), (2, 5, 3)], ids=str)
+    def test_table_rows_of_the_wrong_width_are_rejected(self, shape):
+        analyst = small_analyst()
+        with pytest.raises(ValueError, match="analyst's 3 features"):
+            analyst.prob_normal_table({(0,): {0: 1}}, np.zeros(shape))
+        assert analyst.trained_count == 0
 
 
 class TestCertaintyCurve:

@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import random_spd, trapezoid, trapezoid_marginal
 from sfexplain.dataset import Dataset
+from sfexplain.explain import explain_ind_marg, explain_seq_marg
 import sfexplain.density as density
 from sfexplain.density import (
     DegenerateCluster,
@@ -285,6 +286,27 @@ class TestGmmLogMarginal:
         model = single_standard_normal(2)
         with pytest.raises(ValueError):
             gmm_log_marginal(model, np.zeros(2), [2])
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda model: egmm_log_marginal(model, np.zeros(4), (0, 1)),
+            lambda model: egmm_log_marginal(model, np.zeros(2), (2,)),
+            lambda model: egmm_log_marginal(model, np.zeros(2), (0,)),
+            lambda model: model.log_marginal(np.zeros((1, 4)), (0,)),
+            lambda model: explain_ind_marg(model, np.zeros(2)),
+            lambda model: explain_seq_marg(model, np.zeros(4)),
+            lambda model: rank_points(model, Dataset(np.zeros((3, 2)), np.zeros(3, bool), ("a", "b"))),
+        ],
+        ids=["wider", "subset-past-the-point", "narrower", "row-of-4", "indmarg", "seqmarg", "rank"],
+    )
+    def test_point_of_the_wrong_width_is_rejected(self, query):
+        # On a 3-feature model, a 4-wide point was answered from its first
+        # features, a 2-wide one explained as if it were the whole point, and
+        # subset (2,) of a 2-wide point raised a bare IndexError.
+        model = identity_egmm([single_standard_normal(3)])
+        with pytest.raises(ValueError, match="model's 3 features"):
+            query(model)
 
 
 class TestEgmmConfig:

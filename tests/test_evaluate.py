@@ -11,6 +11,7 @@ from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.errors import SfexplainError
+import sfexplain.analyst
 import sfexplain.density
 from sfexplain.evaluate import (
     OPT_ORACLE_SIZE_CAP,
@@ -382,6 +383,37 @@ class TestPlannedEvaluation:
         distinct = len(set(queried))
         assert (analyst.trained_count, analyst.loaded_count) == (distinct, 0)
         assert analyst.cache_hits == len(queried) - distinct
+
+    def test_oracle_explainers_reuse_the_forest_memo_across_anomalies(self, monkeypatch):
+        # Each anomaly's oracle-mode explainers ask for more distinct subsets
+        # than the memo holds. Explained method by method, the subsets that
+        # every anomaly asks for come back while the memo still holds them:
+        # 25 forests train, against 54 when each anomaly is explained by
+        # every method in turn. The planned pass only reads the memo.
+        monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 6)
+        dataset, config, egmm = self.setup(DetectorMode.ORACLE)
+        analyst = analyst_for(dataset, config)
+        report = run_evaluation(dataset, config, egmm, analyst)
+        selected = list(dict.fromkeys(r.point_index for r in report.per_point))
+        oracle = AnalystDensityOracle(analyst_for(dataset, config))
+
+        class Recorder:
+            def __init__(self):
+                self.asked = set()
+
+            def log_marginal(self, x, subset):
+                self.asked.add(subset_key(subset, 4))
+                return oracle.log_marginal(x, subset)
+
+        distinct = []
+        for idx in selected:
+            recorder = Recorder()
+            for explainer in density_explainers().values():
+                explainer(recorder, dataset.points[idx])
+            distinct.append(len(recorder.asked))
+        assert len(selected) == 3 and min(distinct) > 6
+        assert analyst.trained_count == 25
+        assert report == one_query_report(dataset, config, egmm, analyst_for(dataset, config))
 
     def test_density_oracle_answers_each_subset_once_per_anomaly(self, monkeypatch):
         dataset, config, egmm = self.setup(methods=frozenset(density_explainers()))
