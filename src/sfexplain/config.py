@@ -6,7 +6,6 @@ or integer field is listed anywhere else.
 """
 
 import dataclasses
-import functools
 import math
 import typing
 from numbers import Integral, Real
@@ -50,7 +49,6 @@ def from_dict(cls, raw):
         raise MalformedConfig(f"malformed {name}: {exc!r}") from exc
 
 
-@functools.cache
 def _field_kinds(cls) -> dict[str, tuple[object, bool]]:
     """Each field of cls: (its annotation without ``| None``, whether it allowed None)."""
     hints = typing.get_type_hints(cls)

@@ -265,10 +265,12 @@ def run_evaluation(
     orders: dict[tuple[int, Method], np.ndarray] = {}
     memos = {idx: _SubsetMemo(detector, n) for idx in selected}
     for method in methods:
-        for idx, f in memos.items():
+        for idx in selected:
             if method is not Method.OPT_ORACLE:
-                sfes = explain_point(f, dataset.points[idx], method, k, config.seed, idx, config.random_repeats)
+                point = dataset.points[idx]
+                sfes = explain_point(memos[idx], point, method, k, config.seed, idx, config.random_repeats)
                 orders[idx, method] = np.array([sfe.order for sfe in sfes])
+    del memos
 
     plan: dict[tuple[int, ...], Counter[int]] = {}
     for (idx, _), rows in orders.items():
