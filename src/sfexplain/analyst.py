@@ -18,11 +18,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import is_finite_real
+from .config import is_finite_real, is_integer
 from .dataset import Dataset
 from .explain import Sfe, subset_key
 from .forest import BaggedForest, ForestConfig, MalformedForest
@@ -31,9 +31,9 @@ from .seeding import derive_seed
 logger = logging.getLogger(__name__)
 
 # The most forests an analyst keeps in memory besides the one in use, least
-# recently used evicted first. Only single queries fill it: those whose next
-# subset is not known in advance, such as the oracle-mode explainers' and a
-# replay of the curves. A planned table reads it and leaves it as it was.
+# recently used evicted first. Only single queries use it: prob_normal,
+# classifier_for, certainty_curve and explain_opt_oracle. A table from
+# prob_normal_table reads it and leaves it as it was.
 MEMO_FORESTS = 64
 
 
@@ -76,11 +76,13 @@ class AnalystModel:
 
     There are two ways to query. ``classifier_for`` and ``prob_normal``
     answer one subset at a time through the memo. ``prob_normal_table``
-    answers a whole plan, every (subset, point) pair an evaluation will ask
-    for, training each subset at most once and predicting all of that
-    subset's points in one call, without changing the memo. Both go
-    through one lock, held while a missing forest is loaded or trained, so
-    a concurrent request waits for it.
+    returns a lazy table over fixed rows, such as an evaluation's selected
+    anomalies: each subset's forest answers all rows at its first query and
+    only the floats are kept, so each subset trains at most once per table
+    and the memo is not changed. Both go through one lock, held while a
+    missing forest is loaded or trained, so a concurrent request waits for
+    it. The analyst seed must be an integer, not a bool; it defaults to the
+    forest config's.
 
     The counters keep one meaning on both paths: ``trained_count`` counts
     forests trained, ``loaded_count`` forests loaded from disk, and
@@ -103,6 +105,8 @@ class AnalystModel:
     ):
         self.training_data = training_data
         self.forest_config = forest_config or ForestConfig()
+        if seed is not None and not is_integer(seed):
+            raise ValueError(f"seed must be an integer, not a bool, float or string; got {seed!r}")
         self.seed = self.forest_config.seed if seed is None else int(seed)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
@@ -176,36 +180,36 @@ class AnalystModel:
         key = subset_key(subset, self.n_features)
         return self.classifier_for(key).prob_normal(x[list(key)])
 
-    def prob_normal_table(
-        self, plan: Mapping[tuple[int, ...], Mapping[int, int]], points: np.ndarray
-    ) -> dict[tuple[int, ...], dict[int, float]]:
-        """Answer a plan of queries: table[subset][i] is P(normal | points[i]
-        on the subset), equal to ``prob_normal(points[i], subset)``.
+    def prob_normal_table(self, points: np.ndarray) -> Callable[[tuple[int, ...], int], float]:
+        """A lazy table over the rows of points: ``prob(subset, i)`` equals
+        ``prob_normal(points[i], subset)``; subsets must be canonical
+        (``subset_key``).
 
-        plan[subset][i] is how many queries ask for that pair; subsets must
-        be canonical (``subset_key``). Under the lock, each subset's forest
-        answers all of its points in one ``prob_normal_many`` call. A forest
-        in the memo is read there, and every query it answers is a hit; a
-        missing one is loaded or trained, answers its points and is dropped,
-        so the pass holds one forest of its own at a time and leaves the
-        memo's forests and their order as they were. Counters advance as if
-        each query were asked singly.
+        A subset's first query answers every row in one ``prob_normal_many``
+        call, under the lock, and the table keeps those floats. A forest in
+        the memo answers it and stays there; a missing one is loaded or
+        trained, used once and dropped, so the table holds no forest and
+        leaves the memo's forests and their order as they were. Counters
+        advance as if each query were asked singly. Raises ValueError unless
+        points is 2-D with the analyst's n_features columns.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.n_features:
             raise ValueError(f"points must have the analyst's {self.n_features} features, got shape {points.shape}")
-        table: dict[tuple[int, ...], dict[int, float]] = {}
-        with self._lock:
-            for key, counts in plan.items():
-                hits = sum(counts.values())
-                forest = self._memo.get(key)
-                if forest is None:
-                    forest = self._load_or_train(key)
-                    hits -= 1
-                self.cache_hits += hits
-                probs = forest.prob_normal_many(points[np.ix_(list(counts), key)])
-                table[key] = dict(zip(counts, probs.tolist()))
-        return table
+        table: dict[tuple[int, ...], list[float]] = {}
+
+        def prob(key: tuple[int, ...], i: int) -> float:
+            with self._lock:
+                if key not in table:
+                    forest = self._memo.get(key)
+                    if forest is None:
+                        forest = self._load_or_train(key)
+                        self.cache_hits -= 1  # a forest just trained or loaded is no hit
+                    table[key] = forest.prob_normal_many(points[:, list(key)]).tolist()
+                self.cache_hits += 1
+                return table[key][i]
+
+        return prob
 
 
 def certainty_curve(analyst: AnalystModel, x: np.ndarray, explanation: Sfe) -> tuple[float, ...]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -28,7 +27,7 @@ from .config import check_fields
 from .dataset import Dataset
 from .density import EgmmModel, rank_points
 from .errors import SfexplainError
-from .explain import DensityOracle, Method, density_explainers, explain_point, subset_key
+from .explain import Method, density_explainers, explain_point, subset_key
 
 OPT_ORACLE_SIZE_CAP = 10
 OPT_ORACLE_BUDGET = 1_000_000
@@ -176,9 +175,10 @@ class AnalystDensityOracle:
 
 
 class _SubsetMemo:
-    """A density oracle for one point that asks f once per canonical subset."""
+    """A density oracle for one point that asks f(subset) once per canonical
+    subset; the x it is given is that point."""
 
-    def __init__(self, f: DensityOracle, n: int):
+    def __init__(self, f: Callable[[tuple[int, ...]], float], n: int):
         self.f = f
         self.n = n
         self.values: dict[tuple[int, ...], float] = {}
@@ -186,7 +186,7 @@ class _SubsetMemo:
     def log_marginal(self, x: np.ndarray, subset: Sequence[int]) -> float:
         key = subset_key(subset, self.n)
         if key not in self.values:
-            self.values[key] = self.f.log_marginal(x, key)
+            self.values[key] = self.f(key)
         return self.values[key]
 
 
@@ -240,14 +240,13 @@ def run_evaluation(
     of its curves' expected MFPs, censored if any curve was, and its curve is
     the mean curve.
 
-    The run has three phases. First, each method but optoracle explains
-    every selected anomaly in turn; each anomaly keeps one memo of subset
-    log densities, so each distinct subset is queried once per anomaly.
-    Second, the distinct (subset, anomaly) pairs of every curve prefix and
-    every optoracle subset go to ``AnalystModel.prob_normal_table``, which
-    trains each subset's forest at most once and answers its anomalies in
-    one call. Third, the curves, expected MFPs and summaries are read from
-    that table.
+    The run makes one pass over the selected anomalies. Every analyst query
+    reads one lazy table (``AnalystModel.prob_normal_table``), which trains
+    each subset's forest at most once and answers all selected anomalies
+    with it. For each anomaly, each method but optoracle explains it through
+    one memo of subset log densities, so each distinct subset is asked once
+    per anomaly; the density is the ensemble's, or in oracle mode the log of
+    the table's own P(normal). Its curves are then read from the table.
     """
     check_evaluation_inputs(dataset, analyst.training_data)
     n = dataset.n_features
@@ -259,43 +258,23 @@ def run_evaluation(
 
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
-    detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
-
-    # Each method's orderings of each anomaly, one row per explanation.
-    orders: dict[tuple[int, Method], np.ndarray] = {}
-    memos = {idx: _SubsetMemo(detector, n) for idx in selected}
-    for method in methods:
-        for idx in selected:
-            if method is not Method.OPT_ORACLE:
-                point = dataset.points[idx]
-                sfes = explain_point(memos[idx], point, method, k, config.seed, idx, config.random_repeats)
-                orders[idx, method] = np.array([sfe.order for sfe in sfes])
-    del memos
-
-    plan: dict[tuple[int, ...], Counter[int]] = {}
-    for (idx, _), rows in orders.items():
-        for order in rows.tolist():
-            for key in _prefix_keys(order):
-                plan.setdefault(key, Counter())[idx] += 1
-    if Method.OPT_ORACLE in methods:
-        for size in range(1, opt_k + 1):
-            for key in combinations(range(n), size):
-                plan.setdefault(key, Counter()).update(selected)
-    table = analyst.prob_normal_table(plan, dataset.points)
-    del plan
+    prob = analyst.prob_normal_table(dataset.points[selected])
 
     per_point: list[PointResult] = []
     values: dict[Method, list[float]] = {m: [] for m in methods}
     flags: dict[Method, list[bool]] = {m: [] for m in methods}
-    for idx in selected:
+    for i, idx in enumerate(selected):
+        x = dataset.points[idx]
+        if config.detector_mode is DetectorMode.EGMM:
+            memo = _SubsetMemo(lambda key, x=x: egmm.log_marginal(x, key), n)
+        else:
+            memo = _SubsetMemo(lambda key, i=i: math.log(prob(key, i)), n)
         for method in methods:
             if method is Method.OPT_ORACLE:
-                curves = [tuple(p for _, p in _best_subsets(n, opt_k, lambda s: table[s][idx]))]
+                curves = [tuple(p for _, p in _best_subsets(n, opt_k, lambda s: prob(s, i)))]
             else:
-                curves = [
-                    tuple(table[key][idx] for key in _prefix_keys(order))
-                    for order in orders[idx, method].tolist()
-                ]
+                sfes = explain_point(memo, x, method, k, config.seed, idx, config.random_repeats)
+                curves = [tuple(prob(key, i) for key in _prefix_keys(sfe.order)) for sfe in sfes]
             strict = method is Method.OPT_ORACLE
             scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
             value = float(np.mean([v for v, _ in scored]))

@@ -277,6 +277,8 @@ class BaggedForest:
 
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> "BaggedForest":
+        if not is_integer(seed):
+            raise ValueError(f"seed must be an integer, not a bool, float or string; got {seed!r}")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"training rows must form a 2-D matrix, got shape {X.shape}")

@@ -100,15 +100,18 @@ class TestCache:
         analyst.classifier_for((2,))
         analyst.classifier_for((1,))  # the memo is full
         memo = list(analyst._memo.items())
-        # plan[subset][row] counts the queries of that pair: 9 in all.
-        plan = {(0,): {1: 2, 3: 1}, (0, 1, 2): {1: 1, 2: 1}, (1, 2): {0: 1}, (2,): {4: 3}}
-        table = analyst.prob_normal_table(plan, points)
-        # (2,) is answered from the memo, so the plan trains 3 forests and
-        # the other 9 - 3 queries are hits.
+        prob = analyst.prob_normal_table(points)
+        # (2,) is answered from the memo, without training.
+        assert (prob((2,), 4), analyst.trained_count) == (small_analyst().prob_normal(points[4], (2,)), 2)
+        queries = [((0,), 1), ((0, 1, 2), 1), ((0,), 3), ((2,), 4), ((1, 2), 0)]
+        queries += [((0,), 1), ((0, 1, 2), 2), ((2,), 0)]
+        answers = [prob(key, i) for key, i in queries]
+        # With the first, 9 queries of 4 subsets: 3 forests train, and the
+        # other 9 - 3 queries are hits.
         assert (analyst.trained_count, analyst.cache_hits) == (2 + 3, 9 - 3)
         single = small_analyst()
-        assert table == {key: {i: single.prob_normal(points[i], key) for i in rows} for key, rows in plan.items()}
-        # The plan dropped the forests it trained and left the memo as it
+        assert answers == [single.prob_normal(points[i], key) for key, i in queries]
+        # The table dropped the forests it trained and left the memo as it
         # was: the same forests, (2,) still the least recently used.
         assert list(analyst._memo.items()) == memo
         analyst.classifier_for((2,))
@@ -124,6 +127,16 @@ class TestCache:
             expected = BaggedForest.fit(X, data.labels, config, seed=derive_seed(11, *key))
             got = analyst.classifier_for(key)
             assert np.array_equal(got.prob_normal_many(X), expected.prob_normal_many(X))
+
+    @pytest.mark.parametrize(
+        "seed", [2.5, 2.0, "2", True, np.float64(2.0)], ids=["2.5", "2.0", "str", "bool", "numpy-float"]
+    )
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.5 silently trained with seed 2, '2' was accepted and True became 1.
+        data = make_labeled_dataset(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            AnalystModel(data, ForestConfig(tree_count=5), seed=seed)
+        assert AnalystModel(data, ForestConfig(tree_count=5), seed=np.int64(2)).seed == 2
 
     def test_subset_order_is_canonicalized(self):
         analyst = small_analyst()
@@ -315,7 +328,7 @@ class TestProbNormal:
     def test_table_rows_of_the_wrong_width_are_rejected(self, shape):
         analyst = small_analyst()
         with pytest.raises(ValueError, match="analyst's 3 features"):
-            analyst.prob_normal_table({(0,): {0: 1}}, np.zeros(shape))
+            analyst.prob_normal_table(np.zeros(shape))
         assert analyst.trained_count == 0
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from sfexplain.config import MalformedConfig
 from sfexplain.dataset import Dataset, save_csv
 from sfexplain.density import EgmmConfig
 from sfexplain.evaluate import EvalConfig
-from sfexplain.explain import explain_random
+from sfexplain.explain import Method, explain_random
 from sfexplain.forest import ForestConfig
 from sfexplain.seeding import TAG_EGMM, TAG_RANDOM_SFE, derive_seed
 
@@ -353,6 +354,36 @@ class TestEvaluate:
         assert caplog.messages == ["analyst training data has no anomalies; using the benchmark itself"]
         for name in ("summary.csv", "per_point.csv"):
             assert (normal_only / name).read_bytes() == (without / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, summary_sha256, per_point_sha256",
+        [
+            (
+                (),
+                "f06b5344f9130ba107b98803cda8473169e695b21b1838d96def92fca723d7aa",
+                "3634b02cff64165fdb4435e2102e0e720c365491d47b9b7770c840436f852f94",
+            ),
+            (
+                ("--oracle-detector",),
+                "dde9a123df09dcf13773986e876f7fa3426de3784ce040c6dfd20d376046c709",
+                "dceb3500c8d5ba283141625df50ea291bdb3d99942ce1249f0232e9ca356593f",
+            ),
+        ],
+        ids=["egmm", "oracle"],
+    )
+    def test_reports_are_pinned(self, tmp_path, extra, summary_sha256, per_point_sha256):
+        # The report files, byte for byte, for every method on 4 features: a
+        # change to the explainers, the analyst or the scoring that alters any
+        # ordering, certainty or MFP shows here.
+        config = json.loads(json.dumps(SMALL_CONFIG))
+        config["eval"]["methods"] = [m.value for m in Method]
+        csv_path, analyst_csv, out_dir = tmp_path / "bench.csv", tmp_path / "analyst.csv", tmp_path / "out"
+        for path, seed in ((csv_path, 5), (analyst_csv, 6)):
+            write_dataset_csv(path, np.random.default_rng(seed), n_normal=80, n_anomaly=10, n_features=4, shift=1.5)
+        args = ["evaluate", str(csv_path), "-o", str(out_dir), "--config", write_config(tmp_path, config)]
+        assert main([*args, "--analyst-csv", str(analyst_csv), *extra]) == 0
+        digests = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("summary.csv", "per_point.csv")]
+        assert digests == [summary_sha256, per_point_sha256]
 
     def forbid_fit(self, monkeypatch):
         def fit(*args, **kwargs):

@@ -316,9 +316,21 @@ class TestRunEvaluation:
         assert with_split != without
 
 
+class Recorder:
+    """A density oracle that records each canonical subset it is asked for."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.asked = set()
+
+    def log_marginal(self, x, subset):
+        self.asked.add(subset_key(subset, len(x)))
+        return self.oracle.log_marginal(x, subset)
+
+
 def one_query_report(dataset, config, egmm, analyst):
     """run_evaluation rebuilt one analyst query at a time, through
-    certainty_curve and explain_opt_oracle: the reference for the planned run."""
+    certainty_curve and explain_opt_oracle: the reference for its table."""
     n = dataset.n_features
     k = n if config.max_prefix is None else min(config.max_prefix, n)
     ranking = sfexplain.density.rank_points(egmm, dataset)
@@ -345,7 +357,7 @@ def one_query_report(dataset, config, egmm, analyst):
 
 
 class TestPlannedEvaluation:
-    """run_evaluation explains first, then asks the analyst one planned table."""
+    """run_evaluation reads every analyst query from one lazy table."""
 
     def setup(self, mode=DetectorMode.EGMM, methods=frozenset(Method), max_prefix=None):
         # Six anomalies, each off on one feature; three rank in the top 10%.
@@ -366,18 +378,29 @@ class TestPlannedEvaluation:
         assert report == one_query_report(dataset, config, egmm, analyst_for(dataset, config))
 
     @pytest.mark.parametrize(
-        "methods", [frozenset(Method), frozenset({Method.SEQ_DO, Method.RANDOM})], ids=["all", "seqdo-random"]
+        "methods, mode",
+        [
+            (frozenset(Method), DetectorMode.EGMM),
+            (frozenset({Method.SEQ_DO, Method.RANDOM}), DetectorMode.EGMM),
+            (frozenset(Method), DetectorMode.ORACLE),
+            (frozenset({Method.SEQ_DO, Method.RANDOM}), DetectorMode.ORACLE),
+        ],
+        ids=["all", "seqdo-random", "all-oracle", "seqdo-random-oracle"],
     )
-    def test_cold_analyst_trains_each_distinct_subset_once(self, methods):
-        dataset, config, egmm = self.setup(methods=methods)
+    def test_cold_analyst_trains_each_distinct_subset_once(self, methods, mode):
+        dataset, config, egmm = self.setup(mode, methods=methods)
         analyst = analyst_for(dataset, config)
         report = run_evaluation(dataset, config, egmm, analyst)
+        oracle = AnalystDensityOracle(analyst_for(dataset, config))
         queried = []
         for idx in dict.fromkeys(r.point_index for r in report.per_point):
             x = dataset.points[idx]
+            recorder = Recorder(egmm if mode is DetectorMode.EGMM else oracle)
             for method in config.methods - {Method.OPT_ORACLE}:
-                for sfe in explain_point(egmm, x, method, None, config.seed, idx, config.random_repeats):
+                for sfe in explain_point(recorder, x, method, None, config.seed, idx, config.random_repeats):
                     queried += [subset_key(sfe.order[: i + 1], 4) for i in range(len(sfe))]
+            if mode is DetectorMode.ORACLE:  # the explainers ask each subset once per anomaly
+                queried += recorder.asked
             if Method.OPT_ORACLE in config.methods:
                 queried += [s for size in range(1, 5) for s in combinations(range(4), size)]
         distinct = len(set(queried))
@@ -386,33 +409,24 @@ class TestPlannedEvaluation:
 
     def test_oracle_explainers_reuse_the_forest_memo_across_anomalies(self, monkeypatch):
         # Each anomaly's oracle-mode explainers ask for more distinct subsets
-        # than the memo holds. Explained method by method, the subsets that
-        # every anomaly asks for come back while the memo still holds them:
-        # 25 forests train, against 54 when each anomaly is explained by
-        # every method in turn. The planned pass only reads the memo.
+        # than the forest memo holds. They read the run's one table, as the
+        # curves do, so each of the 15 subsets of 4 features trains once:
+        # against 25 when they asked through the memo method by method, and
+        # 54 anomaly by anomaly. The table only reads the memo.
         monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 6)
         dataset, config, egmm = self.setup(DetectorMode.ORACLE)
         analyst = analyst_for(dataset, config)
         report = run_evaluation(dataset, config, egmm, analyst)
         selected = list(dict.fromkeys(r.point_index for r in report.per_point))
         oracle = AnalystDensityOracle(analyst_for(dataset, config))
-
-        class Recorder:
-            def __init__(self):
-                self.asked = set()
-
-            def log_marginal(self, x, subset):
-                self.asked.add(subset_key(subset, 4))
-                return oracle.log_marginal(x, subset)
-
         distinct = []
         for idx in selected:
-            recorder = Recorder()
+            recorder = Recorder(oracle)
             for explainer in density_explainers().values():
                 explainer(recorder, dataset.points[idx])
             distinct.append(len(recorder.asked))
         assert len(selected) == 3 and min(distinct) > 6
-        assert analyst.trained_count == 25
+        assert analyst.trained_count == 15
         assert report == one_query_report(dataset, config, egmm, analyst_for(dataset, config))
 
     def test_density_oracle_answers_each_subset_once_per_anomaly(self, monkeypatch):

@@ -94,6 +94,17 @@ class TestFit:
         with pytest.raises(ValueError, match="training rows must be finite"):
             BaggedForest.fit(X, np.arange(40) % 4 == 0, ForestConfig(tree_count=3), seed=0)
 
+    @pytest.mark.parametrize(
+        "seed", [2.5, 2.0, "2", True, np.float64(2.0)], ids=["2.5", "2.0", "str", "bool", "numpy-float"]
+    )
+    def test_seed_must_be_an_integer(self, seed):
+        # 2.5 silently trained with seed 2, '2' was accepted and True became 1.
+        X, y = separable_1d(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BaggedForest.fit(X, y, ForestConfig(tree_count=3), seed=seed)
+        forest = BaggedForest.fit(X, y, ForestConfig(tree_count=3), seed=np.int64(2))
+        np.testing.assert_array_equal(forest.value, BaggedForest.fit(X, y, ForestConfig(tree_count=3), seed=2).value)
+
     def test_perfect_stump_probability(self):
         # One depth-1 tree on perfectly separated data: the anomaly-side leaf
         # holds 0 normals and 10 anomalies, so P(normal) = (0+1)/(10+2).
