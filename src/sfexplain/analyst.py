@@ -2,12 +2,12 @@
 
 The analyst answers "how likely is this point normal, seeing only these
 features?" by training one discriminative forest per feature subset, on
-demand. A forest's seed depends only on the analyst's seed and the subset,
-so a forest dropped from memory retrains bit for bit. Revealing an
-explanation's features one at a time yields a certainty curve; the minimum
-feature prefix is how many features must be revealed before certainty drops
-to a detection threshold. ``expected_mfp`` is the one place that rule is
-defined.
+demand, and keeps only the probabilities the forests answered. A forest's
+seed depends only on the analyst's seed and the subset, so a forest trained
+again is the same bit for bit. Revealing an explanation's features one at a
+time yields a certainty curve; the minimum feature prefix is how many
+features must be revealed before certainty drops to a detection threshold.
+``expected_mfp`` is the one place that rule is defined.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -29,13 +28,6 @@ from .forest import BaggedForest, ForestConfig, MalformedForest
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
-
-# The most forests an analyst keeps in memory besides the one in use, least
-# recently used evicted first. Only single queries use it: prob_normal,
-# classifier_for, certainty_curve and explain_opt_oracle. A table from
-# prob_normal_table reads it and leaves it as it was.
-MEMO_FORESTS = 64
-
 
 @dataclass(frozen=True)
 class ThresholdDistribution:
@@ -66,28 +58,20 @@ class ThresholdDistribution:
 
 
 class AnalystModel:
-    """Per-subset classifiers over a fixed labeled training set.
+    """Per-subset classifiers over a fixed labeled training set, behind one
+    store of answers.
 
     Each subset's forest trains on the training data projected onto the
     subset, with a seed derived from (analyst seed, subset), so results do
-    not depend on query order, and a forest trained again is the same forest
-    bit for bit. Memory holds at most MEMO_FORESTS forests, least recently
-    used evicted first, plus the one in use.
+    not depend on query order and a forest trained again is the same forest
+    bit for bit. The analyst seed must be an integer, not a bool; it
+    defaults to the forest config's.
 
-    There are two ways to query. ``classifier_for`` and ``prob_normal``
-    answer one subset at a time through the memo. ``prob_normal_table``
-    returns a lazy table over fixed rows, such as an evaluation's selected
-    anomalies: each subset's forest answers all rows at its first query and
-    only the floats are kept, so each subset trains at most once per table
-    and the memo is not changed. Both go through one lock, held while a
-    missing forest is loaded or trained, so a concurrent request waits for
-    it. The analyst seed must be an integer, not a bool; it defaults to the
-    forest config's.
-
-    The counters keep one meaning on both paths: ``trained_count`` counts
-    forests trained, ``loaded_count`` forests loaded from disk, and
-    ``cache_hits`` every query beyond the first that a trained or loaded
-    forest answered.
+    Every query reads one store of P(normal) by subset and row bytes, under
+    one lock (see ``prob_normal_table``). The store grows with the distinct
+    (subset, row) pairs asked; the analyst holds no forest between queries.
+    ``trained_count`` counts forests trained, ``loaded_count`` forests
+    loaded from disk, and ``cache_hits`` queries answered from the store.
 
     When cache_dir is set, fitted classifiers persist to disk, one .npz file
     per subset, keyed by a hash of the training data taken at construction
@@ -117,8 +101,8 @@ class AnalystModel:
         digest.update(repr(asdict(self.forest_config)).encode())
         digest.update(str(self.seed).encode())
         self._fingerprint = digest.hexdigest()[:16]
-        self._memo: OrderedDict[tuple[int, ...], BaggedForest] = OrderedDict()
-        self._lock = threading.Lock()
+        self._answers: dict[tuple[int, ...], dict[bytes, float]] = {}
+        self._lock = threading.RLock()
         self.cache_hits = 0
         self.trained_count = 0
         self.loaded_count = 0
@@ -130,84 +114,71 @@ class AnalystModel:
     def _cache_path(self, key: tuple[int, ...]) -> Path:
         return self.cache_dir / f"{self._fingerprint}_{'-'.join(map(str, key))}.npz"
 
-    def _load_or_train(self, key: tuple[int, ...]) -> BaggedForest:
-        """The subset's forest from the disk cache when usable, else trained
-        and, with a cache directory, saved. Called with the lock held."""
-        path = self._cache_path(key) if self.cache_dir is not None else None
-        if path is not None and path.exists():
-            try:
-                forest = BaggedForest.load(path)
-            except MalformedForest as exc:
-                logger.warning("retraining: %s", exc)
-            else:
-                if forest.n_features == len(key):
-                    self.loaded_count += 1
-                    return forest
-                logger.warning("retraining: %s has %d features, expected %d", path, forest.n_features, len(key))
-        forest = BaggedForest.fit(
-            self.training_data.points[:, key],
-            self.training_data.labels,
-            self.forest_config,
-            seed=derive_seed(self.seed, *key),
-        )
-        self.trained_count += 1
-        if path is not None:
-            forest.save(path)
-        return forest
-
     def classifier_for(self, subset: Iterable[int]) -> BaggedForest:
-        """Return the forest for a feature subset: from the memo, else loaded
-        or trained and put in the memo, evicting the least recently used
-        forest past MEMO_FORESTS."""
+        """The subset's forest, from the disk cache when usable, else trained
+        and, with a cache directory, saved. The analyst keeps no forest, so
+        every call loads or trains one."""
         key = subset_key(subset, self.n_features)
+        path = self._cache_path(key) if self.cache_dir is not None else None
         with self._lock:
-            forest = self._memo.pop(key, None)
-            if forest is None:
-                forest = self._load_or_train(key)
-            else:
-                self.cache_hits += 1
-            self._memo[key] = forest
-            if len(self._memo) > MEMO_FORESTS:
-                self._memo.popitem(last=False)
+            if path is not None and path.exists():
+                try:
+                    forest = BaggedForest.load(path)
+                except MalformedForest as exc:
+                    logger.warning("retraining: %s", exc)
+                else:
+                    if forest.n_features == len(key):
+                        self.loaded_count += 1
+                        return forest
+                    logger.warning("retraining: %s has %d features, expected %d", path, forest.n_features, len(key))
+            forest = BaggedForest.fit(
+                self.training_data.points[:, key],
+                self.training_data.labels,
+                self.forest_config,
+                seed=derive_seed(self.seed, *key),
+            )
+            self.trained_count += 1
+            if path is not None:
+                forest.save(path)
             return forest
 
     def prob_normal(self, x: np.ndarray, subset: Iterable[int]) -> float:
-        """P(normal | the point's values on the subset), in (0, 1). Raises
-        ValueError unless x has the analyst's n_features values."""
+        """P(normal | the point's values on the subset), in (0, 1), read from
+        a one-row table. Raises ValueError unless x has the analyst's
+        n_features values."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_features,):
             raise ValueError(f"x must have the analyst's {self.n_features} features, got shape {x.shape}")
-        key = subset_key(subset, self.n_features)
-        return self.classifier_for(key).prob_normal(x[list(key)])
+        return self.prob_normal_table(x[None, :])(subset_key(subset, self.n_features), 0)
 
     def prob_normal_table(self, points: np.ndarray) -> Callable[[tuple[int, ...], int], float]:
         """A lazy table over the rows of points: ``prob(subset, i)`` equals
         ``prob_normal(points[i], subset)``; subsets must be canonical
         (``subset_key``).
 
-        A subset's first query answers every row in one ``prob_normal_many``
-        call, under the lock, and the table keeps those floats. A forest in
-        the memo answers it and stays there; a missing one is loaded or
-        trained, used once and dropped, so the table holds no forest and
-        leaves the memo's forests and their order as they were. Counters
-        advance as if each query were asked singly. Raises ValueError unless
-        points is 2-D with the analyst's n_features columns.
+        A query whose row the store holds for that subset is a hit.
+        Otherwise ``classifier_for`` loads or trains the subset's forest,
+        which answers every row of points not yet held for that subset in one
+        ``prob_normal_many`` call, under the lock, and is dropped. So a table
+        trains each subset at most once, while single queries on many rows
+        of one subset train once per row. Raises ValueError unless points is
+        2-D with the analyst's n_features columns.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.n_features:
             raise ValueError(f"points must have the analyst's {self.n_features} features, got shape {points.shape}")
-        table: dict[tuple[int, ...], list[float]] = {}
+        rows = [row.tobytes() for row in points]
 
         def prob(key: tuple[int, ...], i: int) -> float:
             with self._lock:
-                if key not in table:
-                    forest = self._memo.get(key)
-                    if forest is None:
-                        forest = self._load_or_train(key)
-                        self.cache_hits -= 1  # a forest just trained or loaded is no hit
-                    table[key] = forest.prob_normal_many(points[:, list(key)]).tolist()
-                self.cache_hits += 1
-                return table[key][i]
+                answers = self._answers.setdefault(key, {})
+                if rows[i] in answers:
+                    self.cache_hits += 1
+                else:
+                    todo = {row: j for j, row in enumerate(rows) if row not in answers}
+                    probs = self.classifier_for(key).prob_normal_many(points[list(todo.values())][:, list(key)])
+                    answers.update(zip(todo, probs.tolist()))
+                return answers[rows[i]]
 
         return prob
 

@@ -534,7 +534,7 @@ def load_egmm(path: str | Path) -> EgmmModel:
     try:
         with open(Path(path)) as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedModelFile(f"{path}: not JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise MalformedModelFile(f"{path}: not an ensemble model file")
@@ -555,6 +555,8 @@ def load_egmm(path: str | Path) -> EgmmModel:
         )
         if any(m.n != n for m in members):
             raise ValueError(f"every member must have the file's n={n} features")
+        for member in members:
+            np.linalg.cholesky(member.covariances)  # LinAlgError unless each is positive definite
         config = from_dict(EgmmConfig, payload["config"]) if payload.get("config") else None
         return EgmmModel(
             members=members,
@@ -562,5 +564,5 @@ def load_egmm(path: str | Path) -> EgmmModel:
             scale=_json_numbers("scale", payload["scale"], 1),
             config=config,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, np.linalg.LinAlgError) as exc:
         raise MalformedModelFile(f"{path}: malformed model file: {exc!r}") from exc

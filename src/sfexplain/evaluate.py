@@ -241,12 +241,14 @@ def run_evaluation(
     the mean curve.
 
     The run makes one pass over the selected anomalies. Every analyst query
-    reads one lazy table (``AnalystModel.prob_normal_table``), which trains
-    each subset's forest at most once and answers all selected anomalies
-    with it. For each anomaly, each method but optoracle explains it through
-    one memo of subset log densities, so each distinct subset is asked once
-    per anomaly; the density is the ensemble's, or in oracle mode the log of
-    the table's own P(normal). Its curves are then read from the table.
+    reads one lazy table (``AnalystModel.prob_normal_table``) over them, so
+    each subset's forest trains at most once, answers all selected anomalies
+    into the analyst's answer store and is dropped; asking the same queries
+    again later reads the store. For each anomaly, each method but optoracle
+    explains it through one memo of subset log densities, so each distinct
+    subset is asked once per anomaly; the density is the ensemble's, or in
+    oracle mode the log of the table's own P(normal). Its curves are then
+    read from the table.
     """
     check_evaluation_inputs(dataset, analyst.training_data)
     n = dataset.n_features

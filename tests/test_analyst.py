@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-import sfexplain.analyst
 from conftest import make_labeled_dataset, make_single_deviant_dataset, save_five_array_forest
 from sfexplain.analyst import (
     AnalystModel,
@@ -70,53 +69,45 @@ class TestThresholdDistribution:
 class TestCache:
     def test_second_request_is_a_cache_hit(self):
         analyst = small_analyst()
-        analyst.classifier_for({0, 1})
-        assert analyst.trained_count == 1
-        assert analyst.cache_hits == 0
-        analyst.classifier_for({0, 1})
-        assert analyst.trained_count == 1
-        assert analyst.cache_hits == 1
+        x = np.zeros(3)
+        first = analyst.prob_normal(x, {0, 1})
+        assert (analyst.trained_count, analyst.cache_hits) == (1, 0)
+        assert analyst.prob_normal(x, {0, 1}) == first
+        assert (analyst.trained_count, analyst.cache_hits) == (1, 1)
 
-    def test_evicted_forest_retrains_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 2)
+    def test_forest_trained_again_is_the_same_bit_for_bit(self):
         analyst = small_analyst()
         first = analyst.classifier_for((0,))
-        analyst.classifier_for((1,))
-        analyst.classifier_for((2,))  # evicts (0,), the least recently used
-        again = analyst.classifier_for((0,))
+        again = analyst.classifier_for((0,))  # the analyst keeps no forest
         assert again is not first
-        assert (analyst.trained_count, analyst.cache_hits) == (4, 0)
+        assert (analyst.trained_count, analyst.cache_hits) == (2, 0)
         for name in NODE_ARRAYS:
             assert np.array_equal(getattr(again, name), getattr(first, name))
-        analyst.classifier_for((2,))  # a hit makes (2,) the most recent
-        analyst.classifier_for((1,))  # so (0,) is evicted, not (2,)
-        analyst.classifier_for((2,))
-        assert (analyst.trained_count, analyst.cache_hits) == (5, 2)
 
-    def test_table_answers_every_query_as_prob_normal(self, monkeypatch):
-        monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 2)
+    def test_table_answers_every_query_as_prob_normal(self):
         analyst = small_analyst()
         points = np.random.default_rng(1).normal(size=(5, 3))
-        analyst.classifier_for((2,))
-        analyst.classifier_for((1,))  # the memo is full
-        memo = list(analyst._memo.items())
         prob = analyst.prob_normal_table(points)
-        # (2,) is answered from the memo, without training.
-        assert (prob((2,), 4), analyst.trained_count) == (small_analyst().prob_normal(points[4], (2,)), 2)
-        queries = [((0,), 1), ((0, 1, 2), 1), ((0,), 3), ((2,), 4), ((1, 2), 0)]
+        queries = [((2,), 4), ((0,), 1), ((0, 1, 2), 1), ((0,), 3), ((2,), 4), ((1, 2), 0)]
         queries += [((0,), 1), ((0, 1, 2), 2), ((2,), 0)]
         answers = [prob(key, i) for key, i in queries]
-        # With the first, 9 queries of 4 subsets: 3 forests train, and the
-        # other 9 - 3 queries are hits.
-        assert (analyst.trained_count, analyst.cache_hits) == (2 + 3, 9 - 3)
+        # 9 queries of 4 subsets: each subset's first query trains its forest,
+        # which answers all 5 rows, and the other 9 - 4 queries are hits.
+        assert (analyst.trained_count, analyst.cache_hits) == (4, 9 - 4)
         single = small_analyst()
         assert answers == [single.prob_normal(points[i], key) for key, i in queries]
-        # The table dropped the forests it trained and left the memo as it
-        # was: the same forests, (2,) still the least recently used.
-        assert list(analyst._memo.items()) == memo
-        analyst.classifier_for((2,))
-        analyst.classifier_for((0,))
+
+        # A second table over overlapping rows reads the rows the store holds
+        # and trains only the subsets that have rows not yet answered.
+        more = np.concatenate([points[3:], np.random.default_rng(2).normal(size=(2, 3))])
+        prob = analyst.prob_normal_table(more)
+        assert prob((0,), 0) == answers[3] and prob((0, 1, 2), 1) == single.prob_normal(points[4], (0, 1, 2))
+        assert (analyst.trained_count, analyst.cache_hits) == (4, 5 + 2)
+        assert prob((1, 2), 3) == single.prob_normal(more[3], (1, 2))
+        assert prob((0,), 2) == single.prob_normal(more[2], (0,))
         assert (analyst.trained_count, analyst.cache_hits) == (6, 7)
+        assert [prob((0,), i) for i in range(4)] == [single.prob_normal(x, (0,)) for x in more]
+        assert (analyst.trained_count, analyst.cache_hits) == (6, 7 + 4)
 
     def test_forest_seed_derives_from_analyst_seed_and_subset(self):
         data = make_labeled_dataset(np.random.default_rng(3))
@@ -140,20 +131,20 @@ class TestCache:
 
     def test_subset_order_is_canonicalized(self):
         analyst = small_analyst()
-        a = analyst.classifier_for([0, 2])
-        b = analyst.classifier_for([2, 0])
-        assert a is b
-        assert analyst.trained_count == 1
+        x = np.array([1.0, -0.5, 2.0])
+        assert analyst.prob_normal(x, [0, 2]) == analyst.prob_normal(x, [2, 0])
+        assert (analyst.trained_count, analyst.cache_hits) == (1, 1)
 
     def test_concurrent_requests_train_once_per_subset(self, tmp_path):
         subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
         errors = []
+        x = np.zeros(3)
 
         def hammer(analyst):
             def worker():
                 try:
                     for s in subsets:
-                        analyst.classifier_for(s)
+                        analyst.prob_normal(x, s)
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
 
@@ -226,14 +217,16 @@ class TestCache:
         # A cache file written in the earlier five-array layout is logged,
         # retrained and overwritten; the next analyst loads the new file.
         first = small_analyst(cache_dir=tmp_path)
-        expected = first.prob_normal(np.zeros(3), (0, 1))
+        probe = np.stack([np.zeros(3), np.ones(3)])
+        expected = first.prob_normal(probe[0], (0, 1))
         (path,) = tmp_path.iterdir()
         good = path.read_bytes()
         save_five_array_forest(first.classifier_for((0, 1)), path)
         analyst = small_analyst(cache_dir=tmp_path)
         with caplog.at_level("WARNING", logger="sfexplain.analyst"):
-            assert analyst.prob_normal(np.zeros(3), (0, 1)) == expected
-            assert analyst.prob_normal(np.ones(3), (0, 1)) == first.prob_normal(np.ones(3), (0, 1))
+            prob = analyst.prob_normal_table(probe)
+            assert prob((0, 1), 0) == expected
+            assert prob((0, 1), 1) == first.prob_normal(probe[1], (0, 1))
         assert (analyst.trained_count, analyst.loaded_count) == (1, 0)
         (record,) = caplog.records
         assert record.levelname == "WARNING" and "retraining" in record.getMessage()
@@ -274,9 +267,10 @@ class TestCache:
 
         reader = small_analyst(cache_dir=tmp_path)
         probe = np.random.default_rng(1).normal(size=(5, 3))
+        prob, expected = reader.prob_normal_table(probe), analysts[0].prob_normal_table(probe)
         for s in subsets:
-            for x in probe:
-                assert reader.prob_normal(x, s) == analysts[0].prob_normal(x, s)
+            for i in range(len(probe)):
+                assert prob(s, i) == expected(s, i)
         assert (reader.trained_count, reader.loaded_count) == (0, len(subsets))
 
         # Different training data in the same directory keys its own files.

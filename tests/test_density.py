@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -492,11 +493,16 @@ class TestSerialization:
             lambda p: p["config"].update(component_counts=[True, 2]),
             lambda p: p["config"].update(em_tol=True),
             lambda p: p["scale"].__setitem__(1, 10**400),
+            # Symmetric but not positive definite: it loaded, and the first
+            # query raised LinAlgError.
+            lambda p: p["members"][0]["components"][0].update(
+                covariance=[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            ),
         ],
         ids=["no-members", "no-components", "mean-shape", "covariance-shape",
              "weight-string", "weight-null", "shift-shape", "n-string", "covariance-nan", "mean-inf",
              "shift-nan", "scale-inf", "config-seed-float", "config-count-float", "config-count-bool",
-             "config-tol-bool", "scale-int-past-float64"],
+             "config-tol-bool", "scale-int-past-float64", "covariance-not-positive-definite"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, corrupt):
         X = np.random.default_rng(84).normal(size=(60, 3))
@@ -506,6 +512,13 @@ class TestSerialization:
         corrupt(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(MalformedModelFile):
+            load_egmm(path)
+
+    def test_non_utf8_file_raises_typed_error_naming_the_path(self, tmp_path):
+        # It raised a bare UnicodeDecodeError that did not name the file.
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format": "\xff\xfe"}')
+        with pytest.raises(MalformedModelFile, match=re.escape(str(path))):
             load_egmm(path)
 
     @pytest.mark.parametrize("n", [1.0, True])

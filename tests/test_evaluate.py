@@ -11,7 +11,6 @@ from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.errors import SfexplainError
-import sfexplain.analyst
 import sfexplain.density
 from sfexplain.evaluate import (
     OPT_ORACLE_SIZE_CAP,
@@ -407,13 +406,10 @@ class TestPlannedEvaluation:
         assert (analyst.trained_count, analyst.loaded_count) == (distinct, 0)
         assert analyst.cache_hits == len(queried) - distinct
 
-    def test_oracle_explainers_reuse_the_forest_memo_across_anomalies(self, monkeypatch):
-        # Each anomaly's oracle-mode explainers ask for more distinct subsets
-        # than the forest memo holds. They read the run's one table, as the
-        # curves do, so each of the 15 subsets of 4 features trains once:
-        # against 25 when they asked through the memo method by method, and
-        # 54 anomaly by anomaly. The table only reads the memo.
-        monkeypatch.setattr(sfexplain.analyst, "MEMO_FORESTS", 6)
+    def test_oracle_explainers_reuse_the_forest_memo_across_anomalies(self):
+        # Each anomaly's oracle-mode explainers ask for more than 6 distinct
+        # subsets. They read the run's one table, as the curves do, so each
+        # of the 15 subsets of 4 features trains once in the whole run.
         dataset, config, egmm = self.setup(DetectorMode.ORACLE)
         analyst = analyst_for(dataset, config)
         report = run_evaluation(dataset, config, egmm, analyst)
@@ -428,6 +424,28 @@ class TestPlannedEvaluation:
         assert len(selected) == 3 and min(distinct) > 6
         assert analyst.trained_count == 15
         assert report == one_query_report(dataset, config, egmm, analyst_for(dataset, config))
+
+    @pytest.mark.parametrize("mode", list(DetectorMode))
+    def test_replaying_the_run_through_prob_normal_trains_nothing(self, mode):
+        # The analyst keeps every answer of the run, so asking again for each
+        # random prefix and each optoracle subset, one query at a time, reads
+        # those answers and gives the run's curves.
+        dataset, config, egmm = self.setup(mode)
+        analyst = analyst_for(dataset, config)
+        report = run_evaluation(dataset, config, egmm, analyst)
+        trained, hits = analyst.trained_count, analyst.cache_hits
+        curves = {(r.point_index, r.method): r.curve for r in report.per_point}
+        selected = list(dict.fromkeys(r.point_index for r in report.per_point))
+        for idx in selected:
+            x = dataset.points[idx]
+            sfes = explain_point(None, x, Method.RANDOM, None, config.seed, idx, config.random_repeats)
+            replayed = [certainty_curve(analyst, x, sfe) for sfe in sfes]
+            assert tuple(np.mean(replayed, axis=0).tolist()) == curves[idx, Method.RANDOM]
+            best = explain_opt_oracle(analyst, x, 4)
+            assert tuple(p for _, p in best) == curves[idx, Method.OPT_ORACLE]
+        queries = len(selected) * (config.random_repeats * 4 + 15)
+        assert (analyst.trained_count, analyst.loaded_count) == (trained, 0)
+        assert analyst.cache_hits == hits + queries
 
     def test_density_oracle_answers_each_subset_once_per_anomaly(self, monkeypatch):
         dataset, config, egmm = self.setup(methods=frozenset(density_explainers()))
