@@ -17,7 +17,7 @@ import logging
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,11 +67,14 @@ class AnalystModel:
     bit for bit. The analyst seed must be an integer, not a bool; it
     defaults to the forest config's.
 
-    Every query reads one store of P(normal) by subset and row bytes, under
-    one lock (see ``prob_normal_table``). The store grows with the distinct
-    (subset, row) pairs asked; the analyst holds no forest between queries.
-    ``trained_count`` counts forests trained, ``loaded_count`` forests
-    loaded from disk, and ``cache_hits`` queries answered from the store.
+    ``prob_normal`` is the one query. It reads one store of P(normal) by
+    subset and row bytes, under one lock, and a forest it loads or trains
+    answers every held row at once (``hold_rows``), so a caller that holds
+    its rows first trains each subset once. The held rows grow with the
+    distinct rows asked, and the store with the held rows times the subsets
+    asked; the analyst holds no forest between queries. ``trained_count``
+    counts forests trained, ``loaded_count`` forests loaded from disk, and
+    ``cache_hits`` queries answered from the store.
 
     When cache_dir is set, fitted classifiers persist to disk, one .npz file
     per subset, keyed by a hash of the training data taken at construction
@@ -102,6 +105,7 @@ class AnalystModel:
         digest.update(str(self.seed).encode())
         self._fingerprint = digest.hexdigest()[:16]
         self._answers: dict[tuple[int, ...], dict[bytes, float]] = {}
+        self._held: dict[bytes, None] = {}
         self._lock = threading.RLock()
         self.cache_hits = 0
         self.trained_count = 0
@@ -142,45 +146,47 @@ class AnalystModel:
                 forest.save(path)
             return forest
 
-    def prob_normal(self, x: np.ndarray, subset: Iterable[int]) -> float:
-        """P(normal | the point's values on the subset), in (0, 1), read from
-        a one-row table. Raises ValueError unless x has the analyst's
-        n_features values."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise ValueError(f"x must have the analyst's {self.n_features} features, got shape {x.shape}")
-        return self.prob_normal_table(x[None, :])(subset_key(subset, self.n_features), 0)
-
-    def prob_normal_table(self, points: np.ndarray) -> Callable[[tuple[int, ...], int], float]:
-        """A lazy table over the rows of points: ``prob(subset, i)`` equals
-        ``prob_normal(points[i], subset)``; subsets must be canonical
-        (``subset_key``).
-
-        A query whose row the store holds for that subset is a hit.
-        Otherwise ``classifier_for`` loads or trains the subset's forest,
-        which answers every row of points not yet held for that subset in one
-        ``prob_normal_many`` call, under the lock, and is dropped. So a table
-        trains each subset at most once, while single queries on many rows
-        of one subset train once per row. Raises ValueError unless points is
-        2-D with the analyst's n_features columns.
-        """
+    def hold_rows(self, points: np.ndarray) -> None:
+        """Hold the rows of points: every forest that answers a query from now
+        on also answers them, in the same ``prob_normal_many`` call. Raises
+        ValueError unless points is 2-D with the analyst's n_features
+        columns, all finite."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != self.n_features:
             raise ValueError(f"points must have the analyst's {self.n_features} features, got shape {points.shape}")
-        rows = [row.tobytes() for row in points]
+        if not np.isfinite(points).all():
+            raise ValueError("analyst query values must be finite, not NaN or infinite")
+        with self._lock:
+            self._held.update(dict.fromkeys(row.tobytes() for row in points))
 
-        def prob(key: tuple[int, ...], i: int) -> float:
-            with self._lock:
-                answers = self._answers.setdefault(key, {})
-                if rows[i] in answers:
-                    self.cache_hits += 1
-                else:
-                    todo = {row: j for j, row in enumerate(rows) if row not in answers}
-                    probs = self.classifier_for(key).prob_normal_many(points[list(todo.values())][:, list(key)])
-                    answers.update(zip(todo, probs.tolist()))
-                return answers[rows[i]]
+    def prob_normal(self, x: np.ndarray, subset: Iterable[int]) -> float:
+        """P(normal | the point's values on the subset), in (0, 1).
 
-        return prob
+        A query whose row the store holds for that subset is a hit.
+        Otherwise the row is held (``hold_rows``), and ``classifier_for``
+        loads or trains the subset's forest, which answers every held row not
+        yet answered for that subset in one ``prob_normal_many`` call, under
+        the lock, and is dropped. So a subset trains once for rows held
+        before its first query, and once more for each new row asked later.
+        Raises ValueError unless x has the analyst's n_features values, all
+        finite.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n_features,):
+            raise ValueError(f"x must have the analyst's {self.n_features} features, got shape {x.shape}")
+        key = subset_key(subset, self.n_features)
+        row = x.tobytes()
+        with self._lock:
+            answers = self._answers.setdefault(key, {})
+            if row in answers:
+                self.cache_hits += 1
+                return answers[row]
+            self.hold_rows(x[None, :])
+            todo = [r for r in self._held if r not in answers]
+            points = np.frombuffer(b"".join(todo), dtype=np.float64).reshape(len(todo), self.n_features)
+            probs = self.classifier_for(key).prob_normal_many(points[:, list(key)])
+            answers.update(zip(todo, probs.tolist()))
+            return answers[row]
 
 
 def certainty_curve(analyst: AnalystModel, x: np.ndarray, explanation: Sfe) -> tuple[float, ...]:

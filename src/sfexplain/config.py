@@ -64,9 +64,11 @@ def _field_kinds(cls) -> dict[str, tuple[object, bool]]:
 
 def check_fields(config) -> None:
     """Raise ValueError unless every ``int`` field of the config dataclass
-    holds an integer (``is_integer``) and every ``float`` field a real number
-    that is not a bool; a field annotated ``| None`` may also hold None.
-    Constructors call it before their range checks."""
+    holds an integer (``is_integer``), every ``float`` field a real number
+    that is not a bool, every field annotated with a dataclass an instance of
+    it, and every ``frozenset`` field something other than a bare string; a
+    field annotated ``| None`` may also hold None. Constructors call it
+    before their range checks."""
     for name, (kind, optional) in _field_kinds(type(config)).items():
         value = getattr(config, name)
         if value is None and optional:
@@ -75,6 +77,10 @@ def check_fields(config) -> None:
             raise ValueError(f"{name} must be an integer, not a bool, float or string; got {value!r}")
         if kind is float and (isinstance(value, bool) or not isinstance(value, Real)):
             raise ValueError(f"{name} must be a real number, not a bool or string; got {value!r}")
+        if dataclasses.is_dataclass(kind) and not isinstance(value, kind):
+            raise ValueError(f"{name} must be an instance of {kind.__name__}, got {type(value).__name__} {value!r}")
+        if typing.get_origin(kind) is frozenset and isinstance(value, str):
+            raise ValueError(f"{name} must be a collection, not the bare string {value!r}")
 
 
 def is_integer(value) -> bool:

@@ -12,22 +12,21 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analyst import AnalystModel, ThresholdDistribution, expected_mfp
+from .analyst import AnalystModel, ThresholdDistribution, certainty_curve, expected_mfp
 from .config import check_fields
 from .dataset import Dataset
 from .density import EgmmModel, rank_points
 from .errors import SfexplainError
-from .explain import Method, density_explainers, explain_point, subset_key
+from .explain import DensityOracle, Method, density_explainers, explain_point, subset_key
 
 OPT_ORACLE_SIZE_CAP = 10
 OPT_ORACLE_BUDGET = 1_000_000
@@ -138,17 +137,6 @@ def _check_opt_oracle_budget(n: int, max_size: int) -> None:
         )
 
 
-def _best_subsets(
-    n: int, max_size: int, prob: Callable[[tuple[int, ...]], float]
-) -> tuple[tuple[tuple[int, ...], float], ...]:
-    """For each size 1..max_size, the first subset in ``combinations`` order
-    minimizing prob, with its probability."""
-    return tuple(
-        min(((s, prob(s)) for s in combinations(range(n), size)), key=itemgetter(1))
-        for size in range(1, max_size + 1)
-    )
-
-
 def explain_opt_oracle(
     analyst: AnalystModel, x: np.ndarray, max_size: int
 ) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -161,7 +149,10 @@ def explain_opt_oracle(
     """
     n = analyst.n_features
     _check_opt_oracle_budget(n, max_size)
-    return _best_subsets(n, max_size, lambda s: analyst.prob_normal(x, s))
+    return tuple(
+        min(((s, analyst.prob_normal(x, s)) for s in combinations(range(n), size)), key=itemgetter(1))
+        for size in range(1, max_size + 1)
+    )
 
 
 class AnalystDensityOracle:
@@ -175,27 +166,19 @@ class AnalystDensityOracle:
 
 
 class _SubsetMemo:
-    """A density oracle for one point that asks f(subset) once per canonical
-    subset; the x it is given is that point."""
+    """A density oracle for one point that asks the detector once per
+    canonical subset; the x it is given is that point."""
 
-    def __init__(self, f: Callable[[tuple[int, ...]], float], n: int):
-        self.f = f
+    def __init__(self, detector: DensityOracle, n: int):
+        self.detector = detector
         self.n = n
         self.values: dict[tuple[int, ...], float] = {}
 
     def log_marginal(self, x: np.ndarray, subset: Sequence[int]) -> float:
         key = subset_key(subset, self.n)
         if key not in self.values:
-            self.values[key] = self.f(key)
+            self.values[key] = self.detector.log_marginal(x, key)
         return self.values[key]
-
-
-def _prefix_keys(order: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The canonical subset of each prefix of an ordering, shortest first."""
-    prefix: list[int] = []
-    for j in order:
-        insort(prefix, j)
-        yield tuple(prefix)
 
 
 def _summary(values: list[float], censored_flags: list[bool]) -> MethodSummary:
@@ -240,15 +223,16 @@ def run_evaluation(
     of its curves' expected MFPs, censored if any curve was, and its curve is
     the mean curve.
 
-    The run makes one pass over the selected anomalies. Every analyst query
-    reads one lazy table (``AnalystModel.prob_normal_table``) over them, so
-    each subset's forest trains at most once, answers all selected anomalies
-    into the analyst's answer store and is dropped; asking the same queries
-    again later reads the store. For each anomaly, each method but optoracle
-    explains it through one memo of subset log densities, so each distinct
-    subset is asked once per anomaly; the density is the ensemble's, or in
-    oracle mode the log of the table's own P(normal). Its curves are then
-    read from the table.
+    The run holds the selected anomalies in the analyst
+    (``AnalystModel.hold_rows``) and makes one pass over them. Every analyst
+    query is a ``prob_normal`` call, so each subset's forest trains at most
+    once, answers all selected anomalies into the analyst's answer store and
+    is dropped; asking the same queries again later reads the store. For
+    each anomaly, each method but optoracle explains it through one memo of
+    subset log densities, so each distinct subset is asked once per anomaly;
+    the density is the ensemble's, or in oracle mode the analyst's
+    (``AnalystDensityOracle``). Its curves come from ``certainty_curve``,
+    and optoracle's from ``explain_opt_oracle``.
     """
     check_evaluation_inputs(dataset, analyst.training_data)
     n = dataset.n_features
@@ -260,23 +244,21 @@ def run_evaluation(
 
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
-    prob = analyst.prob_normal_table(dataset.points[selected])
+    analyst.hold_rows(dataset.points[selected])
+    detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
 
     per_point: list[PointResult] = []
     values: dict[Method, list[float]] = {m: [] for m in methods}
     flags: dict[Method, list[bool]] = {m: [] for m in methods}
-    for i, idx in enumerate(selected):
+    for idx in selected:
         x = dataset.points[idx]
-        if config.detector_mode is DetectorMode.EGMM:
-            memo = _SubsetMemo(lambda key, x=x: egmm.log_marginal(x, key), n)
-        else:
-            memo = _SubsetMemo(lambda key, i=i: math.log(prob(key, i)), n)
+        memo = _SubsetMemo(detector, n)
         for method in methods:
             if method is Method.OPT_ORACLE:
-                curves = [tuple(p for _, p in _best_subsets(n, opt_k, lambda s: prob(s, i)))]
+                curves = [tuple(p for _, p in explain_opt_oracle(analyst, x, opt_k))]
             else:
                 sfes = explain_point(memo, x, method, k, config.seed, idx, config.random_repeats)
-                curves = [tuple(prob(key, i) for key in _prefix_keys(sfe.order)) for sfe in sfes]
+                curves = [certainty_curve(analyst, x, sfe) for sfe in sfes]
             strict = method is Method.OPT_ORACLE
             scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
             value = float(np.mean([v for v, _ in scored]))

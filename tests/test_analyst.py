@@ -84,30 +84,48 @@ class TestCache:
         for name in NODE_ARRAYS:
             assert np.array_equal(getattr(again, name), getattr(first, name))
 
-    def test_table_answers_every_query_as_prob_normal(self):
+    def test_held_rows_are_answered_by_every_forest(self):
         analyst = small_analyst()
         points = np.random.default_rng(1).normal(size=(5, 3))
-        prob = analyst.prob_normal_table(points)
+        analyst.hold_rows(points)
         queries = [((2,), 4), ((0,), 1), ((0, 1, 2), 1), ((0,), 3), ((2,), 4), ((1, 2), 0)]
         queries += [((0,), 1), ((0, 1, 2), 2), ((2,), 0)]
-        answers = [prob(key, i) for key, i in queries]
+        answers = [analyst.prob_normal(points[i], key) for key, i in queries]
         # 9 queries of 4 subsets: each subset's first query trains its forest,
-        # which answers all 5 rows, and the other 9 - 4 queries are hits.
+        # which answers all 5 held rows, and the other 9 - 4 queries are hits.
         assert (analyst.trained_count, analyst.cache_hits) == (4, 9 - 4)
         single = small_analyst()
         assert answers == [single.prob_normal(points[i], key) for key, i in queries]
 
-        # A second table over overlapping rows reads the rows the store holds
-        # and trains only the subsets that have rows not yet answered.
+        # Holding overlapping rows again reads the rows the store holds and
+        # trains only the subsets that have rows not yet answered.
         more = np.concatenate([points[3:], np.random.default_rng(2).normal(size=(2, 3))])
-        prob = analyst.prob_normal_table(more)
-        assert prob((0,), 0) == answers[3] and prob((0, 1, 2), 1) == single.prob_normal(points[4], (0, 1, 2))
+        analyst.hold_rows(more)
+        assert analyst.prob_normal(more[0], (0,)) == answers[3]
+        assert analyst.prob_normal(more[1], (0, 1, 2)) == single.prob_normal(points[4], (0, 1, 2))
         assert (analyst.trained_count, analyst.cache_hits) == (4, 5 + 2)
-        assert prob((1, 2), 3) == single.prob_normal(more[3], (1, 2))
-        assert prob((0,), 2) == single.prob_normal(more[2], (0,))
+        assert analyst.prob_normal(more[3], (1, 2)) == single.prob_normal(more[3], (1, 2))
+        assert analyst.prob_normal(more[2], (0,)) == single.prob_normal(more[2], (0,))
         assert (analyst.trained_count, analyst.cache_hits) == (6, 7)
-        assert [prob((0,), i) for i in range(4)] == [single.prob_normal(x, (0,)) for x in more]
+        assert [analyst.prob_normal(x, (0,)) for x in more] == [single.prob_normal(x, (0,)) for x in more]
         assert (analyst.trained_count, analyst.cache_hits) == (6, 7 + 4)
+
+        # A subset first asked now trains once and answers all 7 held rows.
+        every = np.concatenate([points, more[2:]])
+        assert [analyst.prob_normal(x, (0, 1)) for x in every] == [single.prob_normal(x, (0, 1)) for x in every]
+        assert (analyst.trained_count, analyst.cache_hits) == (7, 11 + 6)
+
+    def test_a_new_row_is_held_for_later_subsets(self):
+        # A row first asked without hold_rows is held from then on: the next
+        # subset's forest answers it together with the other held rows.
+        analyst = small_analyst()
+        x, y = np.zeros(3), np.ones(3)
+        analyst.prob_normal(x, (0,))
+        analyst.prob_normal(y, (0,))
+        assert (analyst.trained_count, analyst.cache_hits) == (2, 0)
+        analyst.prob_normal(x, (1, 2))
+        assert analyst.prob_normal(y, (1, 2)) == small_analyst().prob_normal(y, (1, 2))
+        assert (analyst.trained_count, analyst.cache_hits) == (3, 1)
 
     def test_forest_seed_derives_from_analyst_seed_and_subset(self):
         data = make_labeled_dataset(np.random.default_rng(3))
@@ -171,6 +189,39 @@ class TestCache:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_rows_held_from_many_threads_train_once_per_subset(self):
+        # Each thread holds its own row, then all ask every subset: a held
+        # row lost to a concurrent hold_rows would train its subsets again.
+        subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+        rows = np.random.default_rng(5).normal(size=(8, 3))
+        analyst = small_analyst()
+        barrier = threading.Barrier(len(rows), timeout=60)
+        answers, errors = {}, []
+
+        def worker(i):
+            try:
+                analyst.hold_rows(rows[i : i + 1])
+                barrier.wait()
+                answers[i] = [analyst.prob_normal(rows[i], s) for s in subsets]
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(rows))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert (analyst.trained_count, analyst.cache_hits) == (len(subsets), (len(rows) - 1) * len(subsets))
+        single = small_analyst()
+        assert answers == {i: [single.prob_normal(x, s) for s in subsets] for i, x in enumerate(rows)}
+
     def test_single_class_training_data_rejected(self):
         rng = np.random.default_rng(0)
         data = Dataset(
@@ -223,10 +274,10 @@ class TestCache:
         good = path.read_bytes()
         save_five_array_forest(first.classifier_for((0, 1)), path)
         analyst = small_analyst(cache_dir=tmp_path)
+        analyst.hold_rows(probe)
         with caplog.at_level("WARNING", logger="sfexplain.analyst"):
-            prob = analyst.prob_normal_table(probe)
-            assert prob((0, 1), 0) == expected
-            assert prob((0, 1), 1) == first.prob_normal(probe[1], (0, 1))
+            assert analyst.prob_normal(probe[0], (0, 1)) == expected
+            assert analyst.prob_normal(probe[1], (0, 1)) == first.prob_normal(probe[1], (0, 1))
         assert (analyst.trained_count, analyst.loaded_count) == (1, 0)
         (record,) = caplog.records
         assert record.levelname == "WARNING" and "retraining" in record.getMessage()
@@ -267,10 +318,11 @@ class TestCache:
 
         reader = small_analyst(cache_dir=tmp_path)
         probe = np.random.default_rng(1).normal(size=(5, 3))
-        prob, expected = reader.prob_normal_table(probe), analysts[0].prob_normal_table(probe)
+        for analyst in (reader, analysts[0]):
+            analyst.hold_rows(probe)
         for s in subsets:
-            for i in range(len(probe)):
-                assert prob(s, i) == expected(s, i)
+            for x in probe:
+                assert reader.prob_normal(x, s) == analysts[0].prob_normal(x, s)
         assert (reader.trained_count, reader.loaded_count) == (0, len(subsets))
 
         # Different training data in the same directory keys its own files.
@@ -322,8 +374,25 @@ class TestProbNormal:
     def test_table_rows_of_the_wrong_width_are_rejected(self, shape):
         analyst = small_analyst()
         with pytest.raises(ValueError, match="analyst's 3 features"):
-            analyst.prob_normal_table(np.zeros(shape))
+            analyst.hold_rows(np.zeros(shape))
         assert analyst.trained_count == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_values_are_rejected(self, bad, column):
+        # [nan, 0, 0] on (0,) was answered 0.33 and [inf, 0, 0] 0.57. A held
+        # row serves every later subset, so a value off the subset counts too.
+        analyst = small_analyst()
+        x = np.zeros(3)
+        x[column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            analyst.prob_normal(x, (0,))
+        with pytest.raises(ValueError, match="finite"):
+            analyst.hold_rows(np.stack([np.ones(3), x]))
+        assert (analyst.trained_count, analyst.cache_hits) == (0, 0)
+        # The rejected rows leave the analyst answering finite rows as before.
+        assert analyst.prob_normal(np.ones(3), (0,)) == small_analyst().prob_normal(np.ones(3), (0,))
+        assert analyst.trained_count == 1
 
 
 class TestCertaintyCurve:

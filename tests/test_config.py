@@ -85,3 +85,30 @@ def test_json_values_name_their_section(cls, raw):
 def test_optional_integer_takes_none():
     assert EvalConfig(max_prefix=None).max_prefix is None
     assert from_dict(EvalConfig, {"max_prefix": None}).max_prefix is None
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (EvalConfig, "thresholds", ((0.1, 1.0),)),
+        (EvalConfig, "thresholds", None),
+        (RunConfig, "egmm", {"seed": 1}),
+        (RunConfig, "forest", ForestConfig),
+        (RunConfig, "eval", EgmmConfig()),
+    ],
+    ids=["thresholds-tuple", "thresholds-none", "egmm-dict", "forest-class", "eval-egmm-config"],
+)
+def test_section_fields_take_only_their_section(cls, name, value):
+    # thresholds=((0.1, 1.0),) was accepted and made run_evaluation raise a
+    # bare AttributeError after forests had trained; egmm={"seed": 1} stayed
+    # a dict.
+    with pytest.raises(ValueError, match=f"^{name} must be an instance of "):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", [(BenchmarkSpec, "anomaly_classes"), (EvalConfig, "methods")])
+def test_set_fields_take_no_bare_string(cls, name):
+    # anomaly_classes="rare" became frozenset({'r', 'a', 'e'}).
+    with pytest.raises(ValueError, match=f"^{name} must be a collection, not the bare string 'rare'"):
+        cls(**{name: "rare"})
+    assert BenchmarkSpec(anomaly_classes=["rare"]).anomaly_classes == frozenset({"rare"})

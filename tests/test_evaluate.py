@@ -11,7 +11,10 @@ from sfexplain.config import from_dict
 from sfexplain.dataset import Dataset
 from sfexplain.density import EgmmConfig, egmm_fit
 from sfexplain.errors import SfexplainError
+import sfexplain
+import sfexplain.analyst
 import sfexplain.density
+import sfexplain.evaluate
 from sfexplain.evaluate import (
     OPT_ORACLE_SIZE_CAP,
     AnalystDensityOracle,
@@ -328,8 +331,8 @@ class Recorder:
 
 
 def one_query_report(dataset, config, egmm, analyst):
-    """run_evaluation rebuilt one analyst query at a time, through
-    certainty_curve and explain_opt_oracle: the reference for its table."""
+    """run_evaluation rebuilt from the public calls alone, with no memo and
+    no held rows: the reference for the run's one query path."""
     n = dataset.n_features
     k = n if config.max_prefix is None else min(config.max_prefix, n)
     ranking = sfexplain.density.rank_points(egmm, dataset)
@@ -356,7 +359,8 @@ def one_query_report(dataset, config, egmm, analyst):
 
 
 class TestPlannedEvaluation:
-    """run_evaluation reads every analyst query from one lazy table."""
+    """run_evaluation asks every analyst query through prob_normal, holding
+    the selected anomalies first."""
 
     def setup(self, mode=DetectorMode.EGMM, methods=frozenset(Method), max_prefix=None):
         # Six anomalies, each off on one feature; three rank in the top 10%.
@@ -446,6 +450,35 @@ class TestPlannedEvaluation:
         queries = len(selected) * (config.random_repeats * 4 + 15)
         assert (analyst.trained_count, analyst.loaded_count) == (trained, 0)
         assert analyst.cache_hits == hits + queries
+
+    @pytest.mark.parametrize("mode", list(DetectorMode))
+    def test_queries_pass_through_the_public_calls(self, mode, monkeypatch):
+        # Counters wrapped around the public calls, wherever the package
+        # holds them, see every analyst query, curve and optoracle search of
+        # the run: each query either trains a forest or is a hit.
+        calls = dict.fromkeys(["prob_normal", "certainty_curve", "explain_opt_oracle"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(AnalystModel, "prob_normal", counting("prob_normal", AnalystModel.prob_normal))
+        for name in ("certainty_curve", "explain_opt_oracle"):
+            original = getattr(sfexplain, name)
+            for module in (sfexplain, sfexplain.analyst, sfexplain.evaluate):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        dataset, config, egmm = self.setup(mode)
+        analyst = analyst_for(dataset, config)
+        report = run_evaluation(dataset, config, egmm, analyst)
+        anomalies = len({r.point_index for r in report.per_point})
+        assert anomalies == 3
+        assert calls["prob_normal"] == analyst.trained_count + analyst.cache_hits > 0
+        assert calls["certainty_curve"] == (len(density_explainers()) + config.random_repeats) * anomalies
+        assert calls["explain_opt_oracle"] == anomalies
 
     def test_density_oracle_answers_each_subset_once_per_anomaly(self, monkeypatch):
         dataset, config, egmm = self.setup(methods=frozenset(density_explainers()))
