@@ -7,7 +7,11 @@ and their predictions do not depend on the order rows arrive in.
 
 All trees of a forest grow together, one depth at a time, from features
 sorted once per tree (the presort-once, breadth-first growth of SLIQ, Mehta
-et al. 1996). A fitted forest is three flat node arrays, 16 bytes per node:
+et al. 1996). A split sends the samples after its cut in the split feature's
+sorted order to the right child, and one stable sort by child number per
+depth keeps every feature's order sorted within each child. Sample ids are
+int32 unless a forest holds 2**31 samples or more. A fitted forest is three
+flat node arrays, 16 bytes per node:
 a feature, a value (the threshold at an internal node, the leaf probability
 at a leaf) and a left child whose sibling is the next node. Leaves point to
 themselves, so prediction evaluates every node's test at once and then
@@ -86,10 +90,11 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
-def _prefix_sums(a: np.ndarray) -> np.ndarray:
-    """Sums of a[..., :k] for k = 0 .. a.shape[-1], along the last axis."""
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,), dtype=np.int64)
-    np.cumsum(a, axis=-1, out=out[..., 1:])
+def _siblings(left: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """left and total - left of each parent in turn: its two children's counts."""
+    out = np.repeat(total, 2)
+    out[0::2] = left
+    out[1::2] -= left
     return out
 
 
@@ -100,51 +105,79 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
     sorted within each segment by that row's feature). Candidate features are
     drawn in node order. One cost table holds the weighted Gini of every cut,
     one row per candidate slot, +inf where the cut is not between distinct
-    values or leaves fewer than min_leaf samples on a side. A candidate's best
-    cut is its first minimal one; ties between candidates go to the first
-    drawn. A node splits only when the best cost is below its own Gini
-    impurity by more than 1e-12. The threshold is the midpoint of the values
-    around the cut, or the upper value when the midpoint rounds down to the
-    lower one (adjacent floats), so every split sends rows to both sides.
-    Returns (feature, threshold, splits), feature and threshold valid where
-    splits is set.
+    values or leaves fewer than min_leaf samples on a side. It is computed in
+    place, one buffer per side of the cut, from the anomaly counts left of
+    every cut, which are kept for the left children. A candidate's best cut is
+    its first minimal one; ties between candidates go to the first drawn, and
+    only the chosen candidate's row is searched for the cut. A node splits
+    only when the best cost is below its own Gini impurity by more than
+    1e-12. The threshold is the midpoint of the values around the cut, or the
+    upper value when the midpoint rounds down to the lower one (adjacent
+    floats), so every split sends rows to both sides.
+    Returns (split, feature, threshold, n_left, a_left): the indices of the
+    nodes that split, among the given nodes, and for each of them its split
+    and the size and anomaly count of its left child, which holds the node's
+    first n_left samples in the split feature's order.
     """
     G, d = len(sizes), order.shape[0]
     candidates = rng.random((G, d)).argsort(axis=1)[:, :m_features]
     node_starts = _starts(sizes)
     seg = np.repeat(np.arange(G), sizes)
     local = np.arange(len(seg)) - node_starts[seg]
+    pos = starts[seg] + local  # each sample's column in order
     feat = candidates[seg].T  # (m, P): one row per candidate slot
-    sample = order[feat, starts[seg] + local]
+    sample = order[feat, pos]
     xs = Xs[sample, feat]
-    anomalies = _prefix_sums(ys[sample])
-    n_left = local + 1
-    valid = np.zeros(xs.shape, dtype=bool)
-    valid[:, :-1] = xs[:, :-1] < xs[:, 1:]
-    valid &= (n_left >= min_leaf) & (n_left <= sizes[seg] - min_leaf)
+    del feat
+    tied = ~(xs[:, :-1] < xs[:, 1:])
+    del xs
+    # Anomalies up to and including each position, within its node.
+    anomalies = np.cumsum(ys[sample], axis=1, dtype=ys.dtype)
+    del sample
+    anomalies[:, sizes[0] :] -= np.repeat(anomalies[:, node_starts[1:] - 1], sizes[1:], axis=1)
 
-    nl = n_left.astype(float)
-    n = sizes[seg].astype(float)
-    a_left = (anomalies[:, 1:] - anomalies[:, node_starts[seg]]).astype(float)
-    a_right = n_anomaly[seg] - a_left
-    p_left = a_left / nl
-    p_right = a_right / np.maximum(n - nl, 1.0)  # n - nl >= min_leaf at a valid cut
-    costs = (nl * (2.0 * p_left * (1.0 - p_left)) + (n - nl) * (2.0 * p_right * (1.0 - p_right))) / n
-    costs[~valid] = np.inf
+    # costs holds the left side's anomaly count, then its share p_left, then
+    # nl * (2 p_left (1 - p_left)); right does the same for the right side.
+    # Each step is one float operation of the weighted Gini, in its order.
+    costs = anomalies.astype(float)
+    nl = local + 1.0
+    n_right = sizes[seg] - nl
+    right = n_anomaly[seg] - costs
+    right /= np.maximum(n_right, 1.0)  # n - nl >= min_leaf at a valid cut
+    costs /= nl
+    one_minus = 1.0 - costs
+    costs *= 2.0
+    costs *= one_minus
+    costs *= nl
+    np.subtract(1.0, right, out=one_minus)
+    right *= 2.0
+    right *= one_minus
+    right *= n_right
+    del one_minus
+    costs += right
+    del right
+    costs /= sizes[seg]
+    costs[:, :-1][tied] = np.inf
+    np.copyto(costs, np.inf, where=(nl < min_leaf) | (n_right < min_leaf))
 
-    # Per (slot, node): the lowest cost, then the first position reaching it.
+    # Per (slot, node): the lowest cost; per node, the first slot reaching it.
     best_cost = np.minimum.reduceat(costs, node_starts, axis=1)
-    hit = costs == np.repeat(best_cost, sizes, axis=1)
-    best_pos = np.minimum.reduceat(np.where(hit, np.arange(len(seg)), len(seg)), node_starts, axis=1)
-
     chosen = np.argmin(best_cost, axis=0)
-    nodes = np.arange(G)
-    cut = best_pos[chosen, nodes]
+    lowest = best_cost[chosen, np.arange(G)]
     parent_p = n_anomaly / sizes
-    splits = best_cost[chosen, nodes] < 2.0 * parent_p * (1.0 - parent_p) - 1e-12
-    lo, hi = xs[chosen, cut], xs[chosen, np.minimum(cut + 1, xs.shape[1] - 1)]
+    split = np.flatnonzero(lowest < 2.0 * parent_p * (1.0 - parent_p) - 1e-12)
+    # The cut is the first position of the chosen row reaching the lowest
+    # cost; the left child holds the row's samples up to it.
+    hit = costs[chosen[seg], np.arange(len(seg))] == lowest[seg]
+    del costs
+    n_left = np.minimum.reduceat(np.where(hit, local, len(seg)), node_starts)[split] + 1
+    chosen = chosen[split]
+    feature = candidates[split, chosen]
+    a_left = anomalies[chosen, node_starts[split] + n_left - 1]
+    last = starts[split] + n_left - 1  # the column of each left child's last sample
+    lo, hi = Xs[order[feature, last], feature], Xs[order[feature, last + 1], feature]
     mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows near the float64 limit
-    return candidates[nodes, chosen], np.where(mid > lo, mid, hi), splits
+    return split, feature, np.where(mid > lo, mid, hi), n_left, a_left
 
 
 def grow_forest(
@@ -154,26 +187,29 @@ def grow_forest(
     bootstrap), all trees one depth at a time, with candidate features
     drawn from rng. Splits follow _best_splits; a node stays a leaf at
     max_depth, below 2 * min_leaf samples, or when it holds one class.
-    Samples reach the children by one stable sort per depth of each
+    A split sends the samples after its cut in the split feature's sorted
+    order right, and the split search gives each child's size and anomaly
+    count. Samples reach the children by one stable sort per depth of each
     feature's presorted order by child number."""
     T, n = rows.shape
     d = X.shape[1]
     m_features = min(d, max(1, math.ceil(math.sqrt(d))))
+    index = np.int32 if T * n <= _INT32.max else np.int64
     Xs = X[rows.ravel()]  # sample s is training row rows.flat[s], of tree s // n
-    ys = y[rows.ravel()].astype(np.int64)
+    ys = y[rows.ravel()].astype(index)
     # Row f of order lists each node's samples sorted by feature f (stable);
     # the nodes of a depth are consecutive segments, in (tree, node) order.
-    presorted = np.argsort(Xs.reshape(T, n, d), axis=1, kind="stable")
-    order = (presorted + n * np.arange(T)[:, None, None]).transpose(2, 0, 1).reshape(d, T * n)
+    order = np.argsort(Xs.T.reshape(d, T, n), axis=2, kind="stable").astype(index, copy=False)
+    order += (n * np.arange(T, dtype=index))[:, None]
+    order = order.reshape(d, T * n)
     sizes = np.full(T, n)
+    n_anomaly = ys.reshape(T, n).sum(axis=1)
     tree = np.arange(T)
     levels = []
     first_id = 0
     for depth in range(config.max_depth + 1):
         K = len(sizes)
         starts = _starts(sizes)
-        anomaly_prefix = _prefix_sums(ys[order[0]])
-        n_anomaly = anomaly_prefix[starts + sizes] - anomaly_prefix[starts]
         ids = first_id + np.arange(K)
         level = {
             "tree": tree,
@@ -187,29 +223,35 @@ def grow_forest(
         grow = np.flatnonzero(grow) if depth < config.max_depth else np.array([], dtype=np.int64)
         if not len(grow):
             break
-        feature, threshold, splits = _best_splits(
+        split, feature, threshold, n_left, a_left = _best_splits(
             Xs, ys, order, starts[grow], sizes[grow], n_anomaly[grow], m_features, config.min_leaf, rng
         )
-        parents = grow[splits]
+        parents = grow[split]
         if not len(parents):
             break
-        feature, threshold = feature[splits], threshold[splits]
         S = len(parents)
         level["feature"][parents] = feature
         level["value"][parents] = threshold
         level["left"][parents] = first_id + 2 * np.arange(S)
 
         # Route each parent's samples to its children, numbered 2 * parent +
-        # goes_right: a stable sort by child keeps every row presorted.
+        # goes_right: a sample goes right when it lies after the cut in the
+        # split feature's row. A stable sort by child keeps every row
+        # presorted; the child numbers take the smallest unsigned dtype, which
+        # numpy's stable sort orders by radix sort up to 16 bits.
         seg = np.repeat(np.arange(S), sizes[parents])
         local = np.arange(len(seg)) - _starts(sizes[parents])[seg]
-        moved = order[:, starts[parents][seg] + local]
-        samples = moved[0]
-        goes_right = np.zeros(len(Xs), dtype=bool)
-        goes_right[samples] = ~(Xs[samples, feature[seg]] < threshold[seg])
-        child = 2 * seg + goes_right[moved]
-        order = np.take_along_axis(moved, np.argsort(child, axis=1, kind="stable"), axis=1)
-        sizes = np.bincount(child[0], minlength=2 * S)
+        pos = starts[parents][seg] + local
+        child = np.empty(len(Xs), dtype=np.min_scalar_type(2 * S - 1))
+        child[order[feature[seg], pos]] = 2 * seg + (local >= n_left[seg])
+        if len(pos) < order.shape[1]:
+            order = order[:, pos]
+        by_child = np.argsort(child[order], axis=1, kind="stable")
+        by_child += np.arange(0, by_child.size, by_child.shape[1])[:, None]  # into order.flat
+        order = order.take(by_child)
+        del by_child
+        sizes = _siblings(n_left, sizes[parents])
+        n_anomaly = _siblings(a_left, n_anomaly[parents])
         tree = np.repeat(tree[parents], 2)
 
     nodes = {name: np.concatenate([level[name] for level in levels]) for name in levels[0]}

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +47,24 @@ def valid_cuts(X, y, min_leaf):
             if min_leaf <= goes_left.sum() <= len(y) - min_leaf:
                 cuts.append((f, threshold, weighted_gini(goes_left, y)))
     return cuts
+
+
+# A hundred trees, six deep: one depth holds up to 248 split parents.
+WIDE_CONFIG = ForestConfig(tree_count=100, max_depth=6, min_leaf=2)
+
+
+def pinned_data(data):
+    """Training rows and labels of test_fitted_forest_is_pinned's cases."""
+    rng = np.random.default_rng(30)
+    if data == "bench":  # the benchmark pool's size: 1500 rows of 8 features, 75 anomalies
+        X = rng.normal(size=(1500, 8))
+        y = np.arange(1500) % 20 == 0
+        X[y, :2] += 1.5
+        return X, y
+    X = rng.normal(size=(120, 3))
+    if data == "tied":  # one decimal: many equal values and tied costs
+        X = np.round(X, 1)
+    return X, rng.random(120) < (0.3 if data in ("noisy", "wide") else 0.2 + 0.5 * (X[:, 0] > 0))
 
 
 class TestForestConfig:
@@ -357,24 +376,79 @@ class TestGrower:
                 ForestConfig(tree_count=4, max_depth=3, min_leaf=2),
                 "f24eeebb67726b1e245ef828b90cac6e0a8207ca67233143cbb0c6dfc66b489f",
             ),
+            (
+                "bench",
+                ForestConfig(tree_count=10),
+                "a84fd2a1d75391ca1d209d4747eb919416cf150535ce68b678e16babe90014e6",
+            ),
+            (
+                "wide",
+                WIDE_CONFIG,
+                "092ae1c0b5be3ae9644d897c8d5a9ae13000f30dfbda9e4c67b24c53e8759448",
+            ),
         ],
-        ids=["tied-values", "min-leaf-1", "max-depth"],
+        ids=["tied-values", "min-leaf-1", "max-depth", "bench-size", "16-bit-children"],
     )
     def test_fitted_forest_is_pinned(self, data, config, sha256):
         # The node arrays, byte for byte: a change to the split search or the
         # routing that alters any split, threshold or leaf value shows here.
-        rng = np.random.default_rng(30)
-        X = rng.normal(size=(120, 3))
-        if data == "tied":  # one decimal: many equal values and tied costs
-            X = np.round(X, 1)
-        y = rng.random(120) < (0.3 if data == "noisy" else 0.2 + 0.5 * (X[:, 0] > 0))
-        forest = BaggedForest.fit(X, y, config, seed=17)
+        forest = BaggedForest.fit(*pinned_data(data), config, seed=17)
         depth = np.zeros(len(forest.feature), dtype=int)
         for node in np.flatnonzero(forest.feature >= 0):  # children follow parents
             depth[forest.left[node] : forest.left[node] + 2] = depth[node] + 1
-        assert (depth.max() == config.max_depth) == (data == "noisy")
+        assert (depth.max() == config.max_depth) == (data in ("noisy", "wide"))
+        if data == "wide":  # over 128 split parents at a depth: child numbers need 16 bits
+            assert np.bincount(depth[forest.feature >= 0]).max() > 128
         digest = hashlib.sha256(b"".join(getattr(forest, name).tobytes() for name in NODE_ARRAYS))
         assert digest.hexdigest() == sha256
+
+    def test_leaves_hold_the_smoothed_share_of_their_samples(self, monkeypatch):
+        # The grower carries each child's size and anomaly count out of the
+        # split search. Routed down its tree by the thresholds, every training
+        # sample must reach a leaf whose value is (normal + 1) / (total + 2)
+        # of the samples that reach it, and every leaf must be reached.
+        grown = []
+
+        def recording_grow_forest(X, y, rows, config, rng):
+            grown.append((X, y, rows))
+            return grow_forest(X, y, rows, config, rng)
+
+        monkeypatch.setattr(sfexplain.forest, "grow_forest", recording_grow_forest)
+        forest = BaggedForest.fit(*pinned_data("wide"), WIDE_CONFIG, seed=17)
+        ((X, y, rows),) = grown
+        bounds = [*forest.roots.tolist(), len(forest.feature)]
+        for root, end, tree_rows in zip(bounds[:-1], bounds[1:], rows):
+            xs, is_normal = X[tree_rows], ~y[tree_rows]
+            node = np.full(len(tree_rows), root)
+            for _ in range(WIDE_CONFIG.max_depth):
+                feature = forest.feature[node]
+                goes_right = ~(xs[np.arange(len(xs)), np.maximum(feature, 0)] < forest.value[node])
+                node = np.where(feature >= 0, forest.left[node] + goes_right, node)
+            leaves = np.flatnonzero(forest.feature[root:end] < 0) + root
+            total = np.bincount(node, minlength=end)[leaves]
+            normal = np.bincount(node, weights=is_normal, minlength=end)[leaves]
+            assert (total > 0).all()
+            assert forest.value[leaves].tolist() == ((normal + 1.0) / (total + 2.0)).tolist()
+
+    def test_a_default_fit_stays_within_its_memory_bound(self):
+        # tracemalloc sees numpy's buffers. On the benchmark pool's size, a
+        # 100-tree fit's peak was 10.3 MB while every candidate's cuts had
+        # their own temporaries, and is 4.1 MB in the in-place cost table
+        # with int32 sample ids and 8- or 16-bit child numbers.
+        X, y = pinned_data("bench")
+        BaggedForest.fit(X, y, ForestConfig(), seed=17)  # first calls may cache
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            BaggedForest.fit(X, y, ForestConfig(), seed=17)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestSerialization:
