@@ -27,7 +27,6 @@ from .density import (
     egmm_fit,
     egmm_log_marginal,
     fit_gmm,
-    gmm_log_marginal,
     load_egmm,
     rank_points,
     save_egmm,

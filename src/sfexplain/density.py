@@ -24,7 +24,6 @@ import json
 import logging
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -188,12 +187,6 @@ class EgmmModel:
         return egmm_log_marginal(self, x, subset)
 
 
-def identity_egmm(members: Sequence[GmmModel]) -> EgmmModel:
-    """Wrap mixtures into an ensemble with no input standardization."""
-    n = members[0].n
-    return EgmmModel(members=tuple(members), shift=np.zeros(n), scale=np.ones(n))
-
-
 @np.errstate(over="ignore")
 def _component_log_likelihoods(
     X: np.ndarray, weights: Sequence[float], means: Sequence[np.ndarray], covs: Sequence[np.ndarray]
@@ -246,15 +239,6 @@ def _log_density(model: EgmmModel, X: np.ndarray, idx: np.ndarray) -> np.ndarray
     return logsumexp(np.stack(member_vals), axis=0) - math.log(len(model.members)) - log_jacobian
 
 
-def gmm_log_marginal(model: GmmModel, x: np.ndarray, subset: Iterable[int]) -> float:
-    """Log joint-marginal density of x restricted to a feature subset.
-
-    Each component marginalizes in closed form by slicing its mean and
-    covariance block on the subset.
-    """
-    return float(_log_density(identity_egmm([model]), x, np.array(subset_key(subset, model.n)))[0])
-
-
 def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) -> float:
     """Log joint-marginal density under the uniform mixture of members.
 
@@ -266,10 +250,7 @@ def egmm_log_marginal(model: EgmmModel, x: np.ndarray, subset: Iterable[int]) ->
 
 def rank_points(model: EgmmModel, data: Dataset) -> np.ndarray:
     """Point indices sorted by ascending full-joint density, ties by index."""
-    return _rank_by_score(_log_density(model, data.points, np.arange(model.n)))
-
-
-def _rank_by_score(scores: np.ndarray) -> np.ndarray:
+    scores = _log_density(model, data.points, np.arange(model.n))
     return np.lexsort((np.arange(len(scores)), scores))
 
 
@@ -435,9 +416,11 @@ def egmm_fit(points: np.ndarray, config: EgmmConfig | None = None, workers: int 
     Each member fits on an independent N-draw bootstrap resample of the
     standardized data. Members are scored by mean per-point log-likelihood
     on the full (non-resampled) data; the lowest floor(quantile * M) scores
-    are discarded. Member training order is fixed by index, so results do
-    not depend on scheduling.
+    are discarded. Members train one after another, in index order; workers
+    must be 1.
     """
+    if not (is_integer(workers) and workers == 1):
+        raise ValueError(f"workers must be 1, got {workers!r}")
     config = config or EgmmConfig()
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
@@ -453,22 +436,12 @@ def egmm_fit(points: np.ndarray, config: EgmmConfig | None = None, workers: int 
     ks = [k for k in config.component_counts for _ in range(config.members_per_k)]
     N = Z.shape[0]
 
-    def train_member(index: int) -> GmmModel:
+    members = []
+    for index, k in enumerate(ks):
         boot_rng = np.random.default_rng(derive_seed(config.seed, index, 0))
         sample = Z[boot_rng.integers(0, N, size=N)]
-        return fit_gmm(
-            sample,
-            ks[index],
-            derive_seed(config.seed, index, 1),
-            max_iters=config.em_max_iters,
-            tol=config.em_tol,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(train_member, range(len(ks))))
-    else:
-        members = [train_member(i) for i in range(len(ks))]
+        seed = derive_seed(config.seed, index, 1)
+        members.append(fit_gmm(sample, k, seed, max_iters=config.em_max_iters, tol=config.em_tol))
 
     terms = (_component_log_likelihoods(Z, m.weights, m.means, m.covariances) for m in members)
     scores = np.array([float(np.mean(logsumexp(t, axis=1))) for t in terms])

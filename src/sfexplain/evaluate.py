@@ -116,6 +116,8 @@ def select_evaluation_anomalies(
     n = len(ranking)
     if sorted(ranking) != list(range(n)):
         raise ValueError("ranking must be a permutation of the point indices")
+    if len(labels) != n:
+        raise ValueError(f"need one label per ranked point, got {len(labels)} labels for {n} points")
     cutoff = math.ceil(top_fraction * n)
     selected = [int(i) for i in list(ranking)[:cutoff] if labels[i]]
     if not selected:
@@ -215,7 +217,8 @@ def run_evaluation(
     and an analyst, which should train on labeled data beyond the benchmark.
     The analyst's feature names must equal the benchmark's, in order, or
     SfexplainError is raised; an optoracle run past OPT_ORACLE_BUDGET raises
-    CombinatorialBudgetExceeded. Both are checked before any forest trains.
+    CombinatorialBudgetExceeded, and a dropout method on one feature
+    ValueError. All are checked before any forest trains.
 
     Every method yields certainty curves for each anomaly: one for a density
     method, random_repeats for random, and the per-size best probabilities
@@ -241,6 +244,8 @@ def run_evaluation(
     methods = [m for m in Method if m in config.methods]
     if Method.OPT_ORACLE in methods:
         _check_opt_oracle_budget(n, opt_k)
+    if n < 2 and {Method.IND_DO, Method.SEQ_DO} & config.methods:
+        raise ValueError("dropout needs at least 2 features")
 
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)

@@ -333,13 +333,11 @@ class BaggedForest:
             raise SingleClassTrainingData("training data must contain both classes")
 
         # Canonical row order: sort by feature values then label, so fitted
-        # forests are invariant to the incoming row order.
+        # forests are invariant to the incoming row order. The draws index
+        # the caller's rows through it, so X is not copied.
         order = np.lexsort((y,) + tuple(X[:, c] for c in range(X.shape[1] - 1, -1, -1)))
-        X = X[order]
-        y = y[order]
-
-        normal_rows = np.flatnonzero(~y)
-        anomaly_rows = np.flatnonzero(y)
+        normal_rows = order[~y[order]]
+        anomaly_rows = order[y[order]]
         per_class = min(len(normal_rows), len(anomaly_rows))
         draws = (config.tree_count, per_class)
         rng = np.random.default_rng(int(seed))

@@ -6,12 +6,19 @@ import numpy as np
 from scipy.stats import multivariate_normal
 
 from sfexplain.dataset import Dataset
+from sfexplain.density import EgmmModel
 
 # numpy 2.0 renamed trapz to trapezoid, and later releases dropped trapz.
 try:
     trapezoid = np.trapezoid
 except AttributeError:
     trapezoid = np.trapz
+
+
+def one_member(gmm):
+    """gmm as a one-member ensemble with no standardization: its queries are the mixture's own."""
+    n = gmm.n
+    return EgmmModel(members=(gmm,), shift=np.zeros(n), scale=np.ones(n))
 
 
 class GaussianOracle:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_single_deviant_dataset, trapezoid_marginal
+from conftest import make_single_deviant_dataset, one_member, trapezoid_marginal
 from sfexplain.analyst import AnalystModel, ThresholdDistribution, certainty_curve
 from sfexplain.cli import main as cli_main
 from sfexplain.dataset import BenchmarkSpec, Dataset, MotherSet, sample_benchmark_split, save_csv
@@ -19,8 +19,8 @@ from sfexplain.density import (
     EgmmConfig,
     GmmModel,
     egmm_fit,
+    egmm_log_marginal,
     fit_gmm,
-    gmm_log_marginal,
 )
 from sfexplain.evaluate import (
     AnalystDensityOracle,
@@ -77,7 +77,7 @@ def test_c1_marginal_correctness():
         keep = [j for j in range(n) if j not in drop]
         anchor = means[int(rng.integers(k))]
         x = anchor + rng.normal(scale=1.5, size=n)
-        got = math.exp(gmm_log_marginal(model, x, keep))
+        got = math.exp(egmm_log_marginal(one_member(model), x, keep))
         want = trapezoid_marginal(
             weights, means, covs, x, keep, drop,
             points_per_dim=801 if n_drop == 1 else 301,

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import LinAlgError
 from scipy.stats import multivariate_normal
 
-from conftest import random_spd, trapezoid, trapezoid_marginal
+from conftest import MixtureOracle, one_member, random_spd, trapezoid, trapezoid_marginal
 from sfexplain.dataset import Dataset
 from sfexplain.explain import explain_ind_marg, explain_seq_marg
 import sfexplain.density as density
@@ -19,12 +19,9 @@ from sfexplain.density import (
     EgmmModel,
     MalformedModelFile,
     GmmModel,
-    _rank_by_score,
     egmm_fit,
     egmm_log_marginal,
     fit_gmm,
-    gmm_log_marginal,
-    identity_egmm,
     load_egmm,
     rank_points,
     save_egmm,
@@ -66,8 +63,8 @@ class TestFitGmm:
         per_point = fit_gmm(X, k=8, seed=1)
         single = fit_gmm(X, k=1, seed=1)
         for x in X:
-            many = gmm_log_marginal(per_point, x, [0, 1])
-            one = gmm_log_marginal(single, x, [0, 1])
+            many = egmm_log_marginal(one_member(per_point), x, [0, 1])
+            one = egmm_log_marginal(one_member(single), x, [0, 1])
             assert many >= one
 
     def test_log_likelihood_monotone(self):
@@ -208,14 +205,14 @@ class TestKmeansInit:
 class TestGmmLogMarginal:
     def test_standard_normal_singleton(self):
         model = single_standard_normal(2)
-        value = gmm_log_marginal(model, np.array([0.0, 123.4]), {0})
+        value = egmm_log_marginal(one_member(model), np.array([0.0, 123.4]), {0})
         assert value == pytest.approx(LOG_STD_NORMAL_PEAK, abs=1e-12)
 
     def test_full_subset_equals_joint(self):
         rng = np.random.default_rng(7)
         model, weights, means, covs = random_mixture(rng, 3, 2)
         x = rng.normal(size=3)
-        full = gmm_log_marginal(model, x, [0, 1, 2])
+        full = egmm_log_marginal(one_member(model), x, [0, 1, 2])
         # Independent oracle: scipy mixture evaluation.
         direct = math.log(
             sum(
@@ -229,7 +226,7 @@ class TestGmmLogMarginal:
         rng = np.random.default_rng(13)
         model, weights, means, covs = random_mixture(rng, 3, 2)
         x = rng.normal(size=3)
-        got = math.exp(gmm_log_marginal(model, x, [0, 2]))
+        got = math.exp(egmm_log_marginal(one_member(model), x, [0, 2]))
         want = trapezoid_marginal(weights, means, covs, x, keep=[0, 2], drop=[1])
         assert got == pytest.approx(want, rel=1e-3)
 
@@ -239,7 +236,7 @@ class TestGmmLogMarginal:
         lows = [m[0] - 8 * math.sqrt(c[0, 0]) for m, c in zip(means, covs)]
         highs = [m[0] + 8 * math.sqrt(c[0, 0]) for m, c in zip(means, covs)]
         grid = np.linspace(min(lows), max(highs), 2001)
-        dens = [math.exp(gmm_log_marginal(model, np.array([g, 0.0]), [0])) for g in grid]
+        dens = [math.exp(egmm_log_marginal(one_member(model), np.array([g, 0.0]), [0])) for g in grid]
         assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_marginalization_consistency(self):
@@ -254,39 +251,39 @@ class TestGmmLogMarginal:
         for g in grid:
             probe = x.copy()
             probe[1] = g
-            dens.append(math.exp(gmm_log_marginal(model, probe, [0, 1])))
+            dens.append(math.exp(egmm_log_marginal(one_member(model), probe, [0, 1])))
         integrated = trapezoid(dens, grid)
-        assert integrated == pytest.approx(math.exp(gmm_log_marginal(model, x, [0])), rel=1e-3)
+        assert integrated == pytest.approx(math.exp(egmm_log_marginal(one_member(model), x, [0])), rel=1e-3)
 
     def test_empty_subset_rejected(self):
         model = single_standard_normal(2)
         with pytest.raises(ValueError):
-            gmm_log_marginal(model, np.zeros(2), [])
+            egmm_log_marginal(one_member(model), np.zeros(2), [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         model = single_standard_normal(3)
         x = np.array([0.5, bad, -0.2])
         with pytest.raises(ValueError, match="finite"):
-            gmm_log_marginal(model, x, [1, 2])
+            egmm_log_marginal(one_member(model), x, [1, 2])
         # A non-finite value outside the queried subset is never read.
-        assert gmm_log_marginal(model, x, [0, 2]) == pytest.approx(
+        assert egmm_log_marginal(one_member(model), x, [0, 2]) == pytest.approx(
             2 * LOG_STD_NORMAL_PEAK - 0.5 * (0.25 + 0.04)
         )
 
     def test_non_positive_definite_covariance_raises(self):
         model = GmmModel(np.ones(1), np.zeros((1, 2)), np.array([[[1.0, 2.0], [2.0, 1.0]]]))
         with pytest.raises(LinAlgError):
-            gmm_log_marginal(model, np.zeros(2), [0, 1])
+            egmm_log_marginal(one_member(model), np.zeros(2), [0, 1])
         # One feature's block alone is positive definite.
-        assert gmm_log_marginal(model, np.zeros(2), [0]) == pytest.approx(
+        assert egmm_log_marginal(one_member(model), np.zeros(2), [0]) == pytest.approx(
             LOG_STD_NORMAL_PEAK
         )
 
     def test_out_of_range_subset_rejected(self):
         model = single_standard_normal(2)
         with pytest.raises(ValueError):
-            gmm_log_marginal(model, np.zeros(2), [2])
+            egmm_log_marginal(one_member(model), np.zeros(2), [2])
 
     @pytest.mark.parametrize(
         "query",
@@ -305,7 +302,7 @@ class TestGmmLogMarginal:
         # On a 3-feature model, a 4-wide point was answered from its first
         # features, a 2-wide one explained as if it were the whole point, and
         # subset (2,) of a 2-wide point raised a bare IndexError.
-        model = identity_egmm([single_standard_normal(3)])
+        model = one_member(single_standard_normal(3))
         with pytest.raises(ValueError, match="model's 3 features"):
             query(model)
 
@@ -345,31 +342,32 @@ class TestEgmmFit:
         x = rng.normal(size=3)
         assert egmm_log_marginal(m1, x, [0, 2]) == egmm_log_marginal(m2, x, [0, 2])
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(43)
-        X = rng.normal(size=(150, 2))
-        config = EgmmConfig(members_per_k=3, component_counts=(2, 3), seed=2)
-        serial = egmm_fit(X, config, workers=1)
-        parallel = egmm_fit(X, config, workers=4)
-        x = rng.normal(size=2)
-        assert egmm_log_marginal(serial, x, [0]) == egmm_log_marginal(parallel, x, [0])
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_workers_must_be_one(self, workers):
+        # There is no thread pool: workers=1 is the only value accepted.
+        X = np.random.default_rng(43).normal(size=(150, 2))
+        config = EgmmConfig(members_per_k=1, component_counts=(2,), seed=2)
+        assert len(egmm_fit(X, config, workers=1).members) == 1
+        with pytest.raises(ValueError, match="workers must be 1"):
+            egmm_fit(X, config, workers=workers)
 
 
 class TestEgmmLogMarginal:
     def test_single_member_identity(self):
         rng = np.random.default_rng(47)
-        member, *_ = random_mixture(rng, 2, 2)
-        ensemble = identity_egmm([member])
+        member, weights, means, covs = random_mixture(rng, 2, 2)
         x = rng.normal(size=2)
-        assert egmm_log_marginal(ensemble, x, [1]) == gmm_log_marginal(member, x, [1])
+        # Independent oracle: scipy's mixture evaluation on the marginal.
+        want = MixtureOracle(weights, means, covs).log_marginal(x, [1])
+        assert egmm_log_marginal(one_member(member), x, [1]) == pytest.approx(want, rel=1e-12)
 
     def test_two_identical_members(self):
         rng = np.random.default_rng(53)
         member, *_ = random_mixture(rng, 2, 2)
-        ensemble = identity_egmm([member, member])
+        ensemble = EgmmModel((member, member), np.zeros(2), np.ones(2))
         x = rng.normal(size=2)
         assert egmm_log_marginal(ensemble, x, [0, 1]) == pytest.approx(
-            gmm_log_marginal(member, x, [0, 1]), rel=1e-14
+            egmm_log_marginal(one_member(member), x, [0, 1]), rel=1e-14
         )
 
     def test_matches_pooled_mixture(self):
@@ -382,20 +380,20 @@ class TestEgmmLogMarginal:
             model, weights, means, covs = random_mixture(rng, 3, 2)
             members.append(model)
             pooled.extend(zip(weights / 3.0, means, covs))
-        ensemble = identity_egmm(members)
+        ensemble = EgmmModel(tuple(members), np.zeros(3), np.ones(3))
         weights, means, covs = zip(*pooled)
         pooled_model = GmmModel(np.array(weights), np.array(means), np.array(covs))
         x = rng.normal(size=3)
         got = egmm_log_marginal(ensemble, x, [0, 1, 2])
-        want = gmm_log_marginal(pooled_model, x, [0, 1, 2])
+        want = egmm_log_marginal(one_member(pooled_model), x, [0, 1, 2])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_member_order_invariant(self):
         rng = np.random.default_rng(61)
         members = [random_mixture(rng, 2, 2)[0] for _ in range(4)]
         x = rng.normal(size=2)
-        forward = egmm_log_marginal(identity_egmm(members), x, [0])
-        backward = egmm_log_marginal(identity_egmm(members[::-1]), x, [0])
+        forward = egmm_log_marginal(EgmmModel(tuple(members), np.zeros(2), np.ones(2)), x, [0])
+        backward = egmm_log_marginal(EgmmModel(tuple(members[::-1]), np.zeros(2), np.ones(2)), x, [0])
         assert forward == pytest.approx(backward, rel=1e-14)
 
     def test_standardization_corrects_units(self):
@@ -410,12 +408,6 @@ class TestEgmmLogMarginal:
 
 
 class TestRankPoints:
-    def test_rank_by_score_sorts_ascending(self):
-        assert _rank_by_score(np.log(np.array([0.5, 0.1, 0.9]))).tolist() == [1, 0, 2]
-
-    def test_rank_by_score_ties_by_index(self):
-        assert _rank_by_score(np.zeros(4)).tolist() == [0, 1, 2, 3]
-
     def test_far_outlier_ranked_first(self):
         rng = np.random.default_rng(71)
         train = rng.normal(size=(300, 2))
@@ -440,7 +432,7 @@ class TestRankPoints:
         assert np.all(model.shift != 0.0) and np.all(model.scale != 1.0)
         ds = Dataset(points=X, labels=[False] * 150, feature_names=("a", "b", "c"))
         scores = [egmm_log_marginal(model, x, range(3)) for x in X]
-        assert rank_points(model, ds).tolist() == _rank_by_score(np.array(scores)).tolist()
+        assert rank_points(model, ds).tolist() == sorted(range(150), key=lambda i: (scores[i], i))
 
     def test_duplicate_points_rank_by_index(self):
         X = np.tile([[1.0, 2.0]], (6, 1))
@@ -636,7 +628,7 @@ class TestComponentValidation:
     def test_models_compare_by_identity(self):
         a, b = single_standard_normal(2), single_standard_normal(2)
         assert a == a and a != b and len({a, b}) == 2
-        assert identity_egmm([a]) != identity_egmm([a])
+        assert one_member(a) != one_member(a)
 
 
 # sha256 of the file save_egmm wrote for this test's model, recorded before

@@ -89,6 +89,12 @@ class TestSelectEvaluationAnomalies:
         with pytest.raises(ValueError, match="top_fraction"):
             select_evaluation_anomalies([3, 1, 2, 0], np.ones(4, bool), fraction)
 
+    @pytest.mark.parametrize("labels", [np.array([True]), np.ones(4, bool)], ids=["fewer", "more"])
+    def test_labels_must_match_the_ranking(self, labels):
+        # Fewer labels than points raised a bare IndexError; more were ignored.
+        with pytest.raises(ValueError, match="one label per ranked point"):
+            select_evaluation_anomalies([0, 1, 2], labels, 1.0)
+
 
 class TestOptOracle:
     def test_size_one_is_best_singleton(self):
@@ -278,6 +284,20 @@ class TestRunEvaluation:
             with pytest.raises(CombinatorialBudgetExceeded):
                 run_evaluation(dataset, config, egmm, analyst)
             assert analyst.trained_count == 0
+
+    @pytest.mark.parametrize(
+        "methods", [frozenset(Method), {Method.IND_DO}, {Method.SEQ_DO}], ids=["all", "inddo", "seqdo"]
+    )
+    def test_dropout_on_one_feature_fails_before_training(self, methods):
+        # Dropout needs 2 features. Under the default methods, the error came
+        # only after the indmarg explanation's forest had trained.
+        dataset = make_labeled_dataset(np.random.default_rng(16), n_normal=60, n_anomaly=10, n_features=1)
+        egmm = egmm_fit(dataset.points, EgmmConfig(members_per_k=1, component_counts=(1,), seed=1))
+        config = EvalConfig(methods=methods)
+        analyst = analyst_for(dataset, config)
+        with pytest.raises(ValueError, match="dropout needs at least 2 features"):
+            run_evaluation(dataset, config, egmm, analyst)
+        assert analyst.trained_count == 0
 
     def test_rejects_dataset_without_anomalies(self):
         rng = np.random.default_rng(9)

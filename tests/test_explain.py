@@ -4,15 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ConstantOracle, CountingOracle, GaussianOracle, TransformedOracle, make_labeled_dataset
+from conftest import ConstantOracle, CountingOracle, GaussianOracle, TransformedOracle, make_labeled_dataset, one_member
 from sfexplain.analyst import AnalystModel
 from sfexplain.density import (
     EgmmConfig,
     GmmModel,
     egmm_fit,
     egmm_log_marginal,
-    gmm_log_marginal,
-    identity_egmm,
 )
 from sfexplain.explain import (
     Method,
@@ -366,8 +364,7 @@ def test_every_subset_query_rejects_the_same_subsets(subset):
     analyst = AnalystModel(data, ForestConfig(tree_count=5))
     x = np.zeros(n)
     queries = {
-        "gmm_log_marginal": lambda s: gmm_log_marginal(gmm, x, s),
-        "egmm_log_marginal": lambda s: egmm_log_marginal(identity_egmm([gmm]), x, s),
+        "egmm_log_marginal": lambda s: egmm_log_marginal(one_member(gmm), x, s),
         "classifier_for": analyst.classifier_for,
         "prob_normal": lambda s: analyst.prob_normal(x, s),
     }
