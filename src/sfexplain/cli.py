@@ -137,7 +137,9 @@ def cmd_evaluate(args) -> int:
     if args.analyst_csv:
         held_out = load_csv(args.analyst_csv, args.label_column, set(args.anomaly_value))
     analyst_data = held_out if held_out is not None and held_out.labels.any() else dataset
-    check_evaluation_inputs(dataset, analyst_data)
+    check_evaluation_inputs(dataset, analyst_data, eval_config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if held_out is None:
         logger.warning(
             "no separate analyst training data; the analyst trains on the "
@@ -148,8 +150,6 @@ def cmd_evaluate(args) -> int:
     analyst = AnalystModel(analyst_data, config.forest, seed=derive_seed(config.seed, TAG_ANALYST))
 
     report = run_evaluation(dataset, eval_config, egmm_fit(dataset.points, egmm_config), analyst)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(report, out_dir / "summary.csv")
     write_per_point_csv(report, out_dir / "per_point.csv")
     print(format_summary_table(report))

@@ -198,9 +198,12 @@ def _summary(values: list[float], censored_flags: list[bool]) -> MethodSummary:
     )
 
 
-def check_evaluation_inputs(dataset: Dataset, analyst_data: Dataset) -> None:
-    """Raise unless the benchmark has an anomaly and the analyst's training
-    columns are the benchmark's, in order."""
+def check_evaluation_inputs(dataset: Dataset, analyst_data: Dataset, config: EvalConfig) -> tuple[int, int]:
+    """Raise on any rule of a run that needs no fitted model, in this order:
+    no anomaly in the benchmark (ValueError), analyst columns that are not the
+    benchmark's in order (SfexplainError), optoracle past OPT_ORACLE_BUDGET
+    (CombinatorialBudgetExceeded), dropout on one feature (ValueError).
+    Returns the explanation length k and optoracle's largest subset size."""
     if dataset.n_anomalies < 1:
         raise ValueError("evaluation needs at least one anomaly in the dataset")
     if analyst_data.feature_names != dataset.feature_names:
@@ -208,6 +211,14 @@ def check_evaluation_inputs(dataset: Dataset, analyst_data: Dataset) -> None:
             f"the analyst's columns {list(analyst_data.feature_names)} "
             f"are not the benchmark's {list(dataset.feature_names)}"
         )
+    n = dataset.n_features
+    k = n if config.max_prefix is None else min(config.max_prefix, n)
+    opt_k = min(k, OPT_ORACLE_SIZE_CAP)
+    if Method.OPT_ORACLE in config.methods:
+        _check_opt_oracle_budget(n, opt_k)
+    if n < 2 and {Method.IND_DO, Method.SEQ_DO} & config.methods:
+        raise ValueError("dropout needs at least 2 features")
+    return k, opt_k
 
 
 def run_evaluation(
@@ -215,10 +226,8 @@ def run_evaluation(
 ) -> EvaluationReport:
     """Run the full protocol on one benchmark dataset with a fitted detector
     and an analyst, which should train on labeled data beyond the benchmark.
-    The analyst's feature names must equal the benchmark's, in order, or
-    SfexplainError is raised; an optoracle run past OPT_ORACLE_BUDGET raises
-    CombinatorialBudgetExceeded, and a dropout method on one feature
-    ValueError. All are checked before any forest trains.
+    It first runs ``check_evaluation_inputs``, so every error that needs no
+    fitted model is raised before the run ranks a point or trains a forest.
 
     Every method yields certainty curves for each anomaly: one for a density
     method, random_repeats for random, and the per-size best probabilities
@@ -237,15 +246,9 @@ def run_evaluation(
     (``AnalystDensityOracle``). Its curves come from ``certainty_curve``,
     and optoracle's from ``explain_opt_oracle``.
     """
-    check_evaluation_inputs(dataset, analyst.training_data)
+    k, opt_k = check_evaluation_inputs(dataset, analyst.training_data, config)
     n = dataset.n_features
-    k = n if config.max_prefix is None else min(config.max_prefix, n)
-    opt_k = min(k, OPT_ORACLE_SIZE_CAP)
     methods = [m for m in Method if m in config.methods]
-    if Method.OPT_ORACLE in methods:
-        _check_opt_oracle_budget(n, opt_k)
-    if n < 2 and {Method.IND_DO, Method.SEQ_DO} & config.methods:
-        raise ValueError("dropout needs at least 2 features")
 
     ranking = rank_points(egmm, dataset)
     selected = select_evaluation_anomalies(ranking.tolist(), dataset.labels, config.top_fraction)
@@ -253,8 +256,6 @@ def run_evaluation(
     detector = egmm if config.detector_mode is DetectorMode.EGMM else AnalystDensityOracle(analyst)
 
     per_point: list[PointResult] = []
-    values: dict[Method, list[float]] = {m: [] for m in methods}
-    flags: dict[Method, list[bool]] = {m: [] for m in methods}
     for idx in selected:
         x = dataset.points[idx]
         memo = _SubsetMemo(detector, n)
@@ -266,22 +267,20 @@ def run_evaluation(
                 curves = [certainty_curve(analyst, x, sfe) for sfe in sfes]
             strict = method is Method.OPT_ORACLE
             scored = [expected_mfp(curve, config.thresholds, strict=strict) for curve in curves]
-            value = float(np.mean([v for v, _ in scored]))
-            censored = any(c for _, c in scored)
-            curve_values = tuple(np.mean(curves, axis=0).tolist())
-            values[method].append(value)
-            flags[method].append(censored)
             per_point.append(
                 PointResult(
                     point_index=idx,
                     method=method,
-                    expected_mfp=value,
-                    censored=censored,
-                    curve=curve_values,
+                    expected_mfp=float(np.mean([v for v, _ in scored])),
+                    censored=any(c for _, c in scored),
+                    curve=tuple(np.mean(curves, axis=0).tolist()),
                 )
             )
 
-    per_method = {m: _summary(values[m], flags[m]) for m in values}
+    per_method = {}
+    for m in methods:
+        rows = [r for r in per_point if r.method is m]
+        per_method[m] = _summary([r.expected_mfp for r in rows], [r.censored for r in rows])
     return EvaluationReport(
         per_method=per_method,
         per_point=tuple(per_point),

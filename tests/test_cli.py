@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -414,6 +415,35 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: evaluation needs at least one anomaly in the dataset"]
         assert caplog.messages == []
+
+    @pytest.mark.parametrize(
+        "n_features, out_below_file, message",
+        [
+            (1, False, "dropout needs at least 2 features"),
+            (21, False, "1048575 subsets exceed the budget of 1000000"),
+            (3, True, f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{{out}}'"),
+        ],
+        ids=["dropout-on-one-feature", "optoracle-budget", "out-dir-below-a-file"],
+    )
+    def test_unrunnable_evaluation_fails_before_fitting(
+        self, tmp_path, monkeypatch, capsys, n_features, out_below_file, message
+    ):
+        # Under the default methods, the dropout width, the optoracle budget
+        # and an unusable -o each fail the run before the detector is fitted.
+        self.forbid_fit(monkeypatch)
+        csv_path = tmp_path / "bench.csv"
+        write_dataset_csv(csv_path, np.random.default_rng(5), n_normal=150, n_anomaly=10, n_features=n_features)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker / "out" if out_below_file else tmp_path / "out"
+        code = main(["evaluate", str(csv_path), "-o", str(out_dir), "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: " + message.format(out=out_dir)
+        ]
+        assert "Traceback" not in err
+        assert not out_dir.exists() and blocker.read_text() == ""
 
 
 class TestBenchgen:

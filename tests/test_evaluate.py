@@ -26,6 +26,7 @@ from sfexplain.evaluate import (
     NoAnomaliesSelected,
     PointResult,
     _summary,
+    check_evaluation_inputs,
     explain_opt_oracle,
     format_summary_table,
     run_evaluation,
@@ -298,6 +299,14 @@ class TestRunEvaluation:
         with pytest.raises(ValueError, match="dropout needs at least 2 features"):
             run_evaluation(dataset, config, egmm, analyst)
         assert analyst.trained_count == 0
+
+    @pytest.mark.parametrize("max_prefix, expected", [(None, (12, 10)), (3, (3, 3)), (20, (12, 10))])
+    def test_pre_flight_returns_the_explanation_lengths(self, max_prefix, expected):
+        # k is max_prefix capped at the width; optoracle's largest size is k
+        # capped at OPT_ORACLE_SIZE_CAP.
+        dataset = make_labeled_dataset(np.random.default_rng(17), n_normal=20, n_anomaly=2, n_features=12)
+        config = EvalConfig(max_prefix=max_prefix)
+        assert check_evaluation_inputs(dataset, dataset, config) == expected
 
     def test_rejects_dataset_without_anomalies(self):
         rng = np.random.default_rng(9)
