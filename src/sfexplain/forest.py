@@ -3,13 +3,18 @@
 Gini-impurity trees with sqrt feature sampling and class-balanced bootstrap
 draws (each tree samples equal counts per class, with replacement). Training
 rows are put into a canonical order before any random draw, so fitted forests
-and their predictions do not depend on the order rows arrive in.
+and their predictions do not depend on the order rows arrive in: a lexsort
+by every column, then the label, computed as one stable sort of column 0 and
+a lexsort of only the rows tied on it.
 
 All trees of a forest grow together, one depth at a time, from features
 sorted once per tree (the presort-once, breadth-first growth of SLIQ, Mehta
 et al. 1996). A split sends the samples after its cut in the split feature's
 sorted order to the right child, and one stable sort by child number per
-depth keeps every feature's order sorted within each child. Sample ids are
+depth keeps every feature's order sorted within each child. The split search
+and the routing share one set of per-sample indices per depth, and each depth
+keeps only its nodes' trees, sizes and anomaly counts and its splits, from
+which the node arrays are built once growth stops. Sample ids are
 int32 unless a forest holds 2**31 samples or more. A fitted forest is three
 flat node arrays, 16 bytes per node:
 a feature, a value (the threshold at an internal node, the leaf probability
@@ -87,12 +92,12 @@ def _int32_nodes(name: str, a) -> np.ndarray:
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
     """Offsets of consecutive segments of the given sizes."""
-    return np.cumsum(sizes) - sizes
+    return sizes.cumsum() - sizes
 
 
 def _siblings(left: np.ndarray, total: np.ndarray) -> np.ndarray:
     """left and total - left of each parent in turn: its two children's counts."""
-    out = np.repeat(total, 2)
+    out = total.repeat(2)
     out[0::2] = left
     out[1::2] -= left
     return out
@@ -114,35 +119,42 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
     1e-12. The threshold is the midpoint of the values around the cut, or the
     upper value when the midpoint rounds down to the lower one (adjacent
     floats), so every split sends rows to both sides.
-    Returns (split, feature, threshold, n_left, a_left): the indices of the
-    nodes that split, among the given nodes, and for each of them its split
-    and the size and anomaly count of its left child, which holds the node's
-    first n_left samples in the split feature's order.
+    Returns (split, feature, threshold, n_left, a_left, seg, local, pos): the
+    indices of the nodes that split, among the given nodes, and for each of
+    them its split and the size and anomaly count of its left child, which
+    holds the node's first n_left samples in the split feature's order; then,
+    for every sample of the given nodes in turn, its node, its index within
+    the node and its column in order.
     """
     G, d = len(sizes), order.shape[0]
     candidates = rng.random((G, d)).argsort(axis=1)[:, :m_features]
     node_starts = _starts(sizes)
-    seg = np.repeat(np.arange(G), sizes)
-    local = np.arange(len(seg)) - node_starts[seg]
-    pos = starts[seg] + local  # each sample's column in order
-    feat = candidates[seg].T  # (m, P): one row per candidate slot
-    sample = order[feat, pos]
-    xs = Xs[sample, feat]
-    del feat
-    tied = ~(xs[:, :-1] < xs[:, 1:])
+    local = np.arange(sizes.sum()) - node_starts.repeat(sizes)
+    pos = local + starts.repeat(sizes)  # each sample's column in order
+    feat = candidates.repeat(sizes, axis=0).T  # (m, P): one row per candidate slot
+    # Flat takes gather faster than two-array indexing: order's, then Xs's.
+    flat = feat * order.shape[1]
+    flat += pos
+    sample = order.take(flat)
+    np.multiply(sample, d, out=flat, dtype=flat.dtype)
+    flat += feat
+    xs = Xs.take(flat)
+    del feat, flat
+    tied = xs[:, :-1] >= xs[:, 1:]  # sorted and finite: not below is equal
     del xs
     # Anomalies up to and including each position, within its node.
-    anomalies = np.cumsum(ys[sample], axis=1, dtype=ys.dtype)
+    anomalies = ys.take(sample).cumsum(axis=1, dtype=ys.dtype)
     del sample
-    anomalies[:, sizes[0] :] -= np.repeat(anomalies[:, node_starts[1:] - 1], sizes[1:], axis=1)
+    anomalies[:, sizes[0] :] -= anomalies[:, node_starts[1:] - 1].repeat(sizes[1:], axis=1)
 
     # costs holds the left side's anomaly count, then its share p_left, then
     # nl * (2 p_left (1 - p_left)); right does the same for the right side.
     # Each step is one float operation of the weighted Gini, in its order.
     costs = anomalies.astype(float)
     nl = local + 1.0
-    n_right = sizes[seg] - nl
-    right = n_anomaly[seg] - costs
+    n = sizes.repeat(sizes)
+    n_right = n - nl
+    right = n_anomaly.repeat(sizes) - costs
     right /= np.maximum(n_right, 1.0)  # n - nl >= min_leaf at a valid cut
     costs /= nl
     one_minus = 1.0 - costs
@@ -156,28 +168,50 @@ def _best_splits(Xs, ys, order, starts, sizes, n_anomaly, m_features, min_leaf, 
     del one_minus
     costs += right
     del right
-    costs /= sizes[seg]
+    costs /= n
+    del n
     costs[:, :-1][tied] = np.inf
     np.copyto(costs, np.inf, where=(nl < min_leaf) | (n_right < min_leaf))
 
     # Per (slot, node): the lowest cost; per node, the first slot reaching it.
     best_cost = np.minimum.reduceat(costs, node_starts, axis=1)
-    chosen = np.argmin(best_cost, axis=0)
-    lowest = best_cost[chosen, np.arange(G)]
+    chosen = best_cost.argmin(axis=0)
+    lowest = best_cost.min(axis=0)
     parent_p = n_anomaly / sizes
-    split = np.flatnonzero(lowest < 2.0 * parent_p * (1.0 - parent_p) - 1e-12)
+    split = (lowest < 2.0 * parent_p * (1.0 - parent_p) - 1e-12).nonzero()[0]
     # The cut is the first position of the chosen row reaching the lowest
     # cost; the left child holds the row's samples up to it.
-    hit = costs[chosen[seg], np.arange(len(seg))] == lowest[seg]
+    hit = costs.take(chosen.repeat(sizes) * len(local) + np.arange(len(local))) == lowest.repeat(sizes)
     del costs
-    n_left = np.minimum.reduceat(np.where(hit, local, len(seg)), node_starts)[split] + 1
+    n_left = np.minimum.reduceat(np.where(hit, local, len(local)), node_starts)[split] + 1
     chosen = chosen[split]
     feature = candidates[split, chosen]
     a_left = anomalies[chosen, node_starts[split] + n_left - 1]
-    last = starts[split] + n_left - 1  # the column of each left child's last sample
-    lo, hi = Xs[order[feature, last], feature], Xs[order[feature, last + 1], feature]
+    # The columns of each left child's last sample and the next one.
+    last = (starts[split] + n_left - 1)[:, None] + (0, 1)
+    lo, hi = Xs[order[feature[:, None], last], feature[:, None]].T
     mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) overflows near the float64 limit
-    return split, feature, np.where(mid > lo, mid, hi), n_left, a_left
+    seg = np.arange(G).repeat(sizes)
+    return split, feature, np.where(mid > lo, mid, hi), n_left, a_left, seg, local, pos
+
+
+def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows of X sorted by column 0, then column 1, ..., then y, equal
+    rows in their given order: np.lexsort((y, X[:, d-1], ..., X[:, 0])).
+    Fitted forests draw through it, so they do not depend on the order rows
+    arrive in. One stable sort of column 0 places every row not tied on it;
+    the tied rows are lexsorted by all the keys and written back in place,
+    since each run of ties keeps its positions."""
+    order = X[:, 0].argsort(kind="stable")
+    first = X[order, 0]
+    same = first[1:] == first[:-1]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    tied = tied.nonzero()[0]
+    rows = order[tied]
+    order[tied] = rows[np.lexsort((y[rows], *X[rows].T[::-1]))]
+    return order
 
 
 def grow_forest(
@@ -190,7 +224,9 @@ def grow_forest(
     A split sends the samples after its cut in the split feature's sorted
     order right, and the split search gives each child's size and anomaly
     count. Samples reach the children by one stable sort per depth of each
-    feature's presorted order by child number."""
+    feature's presorted order by child number. Each depth keeps only its
+    nodes' trees, sizes and anomaly counts and its splits; the node arrays
+    are built from them once every tree has stopped growing."""
     T, n = rows.shape
     d = X.shape[1]
     m_features = min(d, max(1, math.ceil(math.sqrt(d))))
@@ -205,67 +241,64 @@ def grow_forest(
     sizes = np.full(T, n)
     n_anomaly = ys.reshape(T, n).sum(axis=1)
     tree = np.arange(T)
-    levels = []
+    # Nodes are numbered depth by depth, in (tree, node) order within a depth.
+    levels = []  # (tree, sizes, n_anomaly) of each depth's nodes
+    splits = [(np.empty(0, int), np.empty(0, int), np.empty(0))]  # (node, feature, threshold)
     first_id = 0
     for depth in range(config.max_depth + 1):
-        K = len(sizes)
-        starts = _starts(sizes)
-        ids = first_id + np.arange(K)
-        level = {
-            "tree": tree,
-            "feature": np.full(K, -1),
-            "value": (sizes - n_anomaly + 1.0) / (sizes + 2.0),
-            "left": ids,
-        }
-        levels.append(level)
-        first_id += K
-        grow = (sizes >= 2 * config.min_leaf) & (n_anomaly > 0) & (n_anomaly < sizes)
-        grow = np.flatnonzero(grow) if depth < config.max_depth else np.array([], dtype=np.int64)
-        if not len(grow):
+        levels.append((tree, sizes, n_anomaly))
+        grow = ((sizes >= 2 * config.min_leaf) & (n_anomaly > 0) & (n_anomaly < sizes)).nonzero()[0]
+        if depth == config.max_depth or not len(grow):
             break
-        split, feature, threshold, n_left, a_left = _best_splits(
+        starts = _starts(sizes)
+        split, feature, threshold, n_left, a_left, seg, local, pos = _best_splits(
             Xs, ys, order, starts[grow], sizes[grow], n_anomaly[grow], m_features, config.min_leaf, rng
         )
         parents = grow[split]
-        if not len(parents):
-            break
         S = len(parents)
-        level["feature"][parents] = feature
-        level["value"][parents] = threshold
-        level["left"][parents] = first_id + 2 * np.arange(S)
+        if not S:
+            break
+        splits.append((first_id + parents, feature, threshold))
+        first_id += len(sizes)
 
         # Route each parent's samples to its children, numbered 2 * parent +
         # goes_right: a sample goes right when it lies after the cut in the
         # split feature's row. A stable sort by child keeps every row
         # presorted; the child numbers take the smallest unsigned dtype, which
         # numpy's stable sort orders by radix sort up to 16 bits.
-        seg = np.repeat(np.arange(S), sizes[parents])
-        local = np.arange(len(seg)) - _starts(sizes[parents])[seg]
-        pos = starts[parents][seg] + local
+        if S < len(grow):  # keep only the samples of the nodes that split
+            rank = np.full(len(grow), -1)
+            rank[split] = np.arange(S)
+            seg = rank[seg]
+            keep = seg >= 0
+            seg, local, pos = seg[keep], local[keep], pos[keep]
         child = np.empty(len(Xs), dtype=np.min_scalar_type(2 * S - 1))
-        child[order[feature[seg], pos]] = 2 * seg + (local >= n_left[seg])
+        child[order.take(feature[seg] * order.shape[1] + pos)] = 2 * seg + (local >= n_left[seg])
         if len(pos) < order.shape[1]:
-            order = order[:, pos]
-        by_child = np.argsort(child[order], axis=1, kind="stable")
+            order = order.take(pos, axis=1)
+        by_child = child.take(order).argsort(axis=1, kind="stable")
         by_child += np.arange(0, by_child.size, by_child.shape[1])[:, None]  # into order.flat
         order = order.take(by_child)
         del by_child
         sizes = _siblings(n_left, sizes[parents])
         n_anomaly = _siblings(a_left, n_anomaly[parents])
-        tree = np.repeat(tree[parents], 2)
+        tree = tree[parents].repeat(2)
 
-    nodes = {name: np.concatenate([level[name] for level in levels]) for name in levels[0]}
+    tree, sizes, n_anomaly = map(np.concatenate, zip(*levels))
+    internal, feature, threshold = map(np.concatenate, zip(*splits))
+    node_feature = np.full(len(tree), -1)
+    node_feature[internal] = feature
+    value = (sizes - n_anomaly + 1.0) / (sizes + 2.0)
+    value[internal] = threshold
+    # Each depth's split nodes' children make up the next depth, in order.
+    left = np.arange(len(tree))
+    left[internal] = T + 2 * np.arange(len(internal))
     # Store each tree's nodes contiguously, in breadth-first order. Sibling
     # pairs stay adjacent: they are adjacent in the level and share a tree.
-    perm = np.argsort(nodes.pop("tree"), kind="stable")
+    perm = tree.argsort(kind="stable")
     renumber = np.empty_like(perm)
     renumber[perm] = np.arange(len(perm))
-    return BaggedForest(
-        feature=nodes["feature"][perm],
-        value=nodes["value"][perm],
-        left=renumber[nodes["left"][perm]],
-        n_features=d,
-    )
+    return BaggedForest(feature=node_feature[perm], value=value[perm], left=renumber[left[perm]], n_features=d)
 
 
 class BaggedForest:
@@ -322,8 +355,8 @@ class BaggedForest:
         if not is_integer(seed):
             raise ValueError(f"seed must be an integer, not a bool, float or string; got {seed!r}")
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"training rows must form a 2-D matrix, got shape {X.shape}")
+        if X.ndim != 2 or not X.shape[1]:
+            raise ValueError(f"training rows must form a 2-D matrix of at least one column, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("training rows must be finite")
         y = np.asarray(y, dtype=bool)
@@ -332,10 +365,9 @@ class BaggedForest:
         if y.all() or not y.any():
             raise SingleClassTrainingData("training data must contain both classes")
 
-        # Canonical row order: sort by feature values then label, so fitted
-        # forests are invariant to the incoming row order. The draws index
-        # the caller's rows through it, so X is not copied.
-        order = np.lexsort((y,) + tuple(X[:, c] for c in range(X.shape[1] - 1, -1, -1)))
+        # The draws index the caller's rows through the canonical order, so
+        # X is not copied.
+        order = canonical_order(X, y)
         normal_rows = order[~y[order]]
         anomaly_rows = order[y[order]]
         per_class = min(len(normal_rows), len(anomaly_rows))

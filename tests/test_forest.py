@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -17,8 +18,10 @@ from sfexplain.forest import (
     ForestConfig,
     MalformedForest,
     SingleClassTrainingData,
+    canonical_order,
     grow_forest,
 )
+from sfexplain.seeding import derive_seed
 
 
 def separable_1d(rng, n_per_class=60, gap=4.0):
@@ -100,7 +103,7 @@ class TestFit:
         with pytest.raises(SingleClassTrainingData):
             BaggedForest.fit(X, np.zeros(10, bool), ForestConfig(), seed=0)
 
-    @pytest.mark.parametrize("shape", [(10,), (10, 2, 1)], ids=["1-d", "3-d"])
+    @pytest.mark.parametrize("shape", [(10,), (10, 2, 1), (10, 0)], ids=["1-d", "3-d", "no-columns"])
     def test_rows_must_form_a_matrix(self, shape):
         y = np.arange(10) % 2 == 1
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
@@ -170,6 +173,20 @@ class TestFit:
         np.testing.assert_array_equal(
             forest.prob_normal_many(probe), shuffled.prob_normal_many(probe)
         )
+
+    def test_canonical_order_is_a_lexsort_of_every_column_then_the_label(self):
+        # A stable sort of column 0 plus a lexsort of the rows tied on it must
+        # give the full lexsort: rounded values tie, constant columns tie
+        # everywhere, and -0.0 equals 0.0.
+        rng = np.random.default_rng(8)
+        for _ in range(400):
+            rows, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+            X = np.round(rng.normal(size=(rows, d)), int(rng.integers(0, 2)))
+            X[:, rng.random(d) < 0.3] = rng.choice([0.0, 1.5])
+            X[(X == 0.0) & (rng.random((rows, d)) < 0.5)] = -0.0
+            y = rng.random(rows) < 0.3
+            expected = np.lexsort((y,) + tuple(X[:, c] for c in range(d - 1, -1, -1)))
+            np.testing.assert_array_equal(canonical_order(X, y), expected)
 
 
 class TestGrower:
@@ -402,6 +419,21 @@ class TestGrower:
         digest = hashlib.sha256(b"".join(getattr(forest, name).tobytes() for name in NODE_ARRAYS))
         assert digest.hexdigest() == sha256
 
+    def test_every_subset_forest_is_pinned(self):
+        # The analyst fits one forest per feature subset. One digest over the
+        # node arrays of all 255 subset forests of the bench-size data, in
+        # combinations order, covers d = 1..8 and 1 to 3 candidates per split.
+        X, y = pinned_data("bench")
+        digest = hashlib.sha256()
+        for size in range(1, 9):
+            for subset in itertools.combinations(range(8), size):
+                forest = BaggedForest.fit(
+                    X[:, list(subset)], y, ForestConfig(tree_count=10), seed=derive_seed(17, *subset)
+                )
+                for name in NODE_ARRAYS:
+                    digest.update(getattr(forest, name).tobytes())
+        assert digest.hexdigest() == "aca7ad4535628d77c98541932daa01003fb19ad12ca40b14bc54699fbebe78dd"
+
     def test_leaves_hold_the_smoothed_share_of_their_samples(self, monkeypatch):
         # The grower carries each child's size and anomaly count out of the
         # split search. Routed down its tree by the thresholds, every training
@@ -449,6 +481,25 @@ class TestGrower:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 6e6
+
+    def test_a_bench_size_fit_stays_within_its_memory_bound(self):
+        # The benchmark's 10-tree fit on the same data: its traced peak was
+        # 0.46 MB with every buffer of the split search freed once used.
+        X, y = pinned_data("bench")
+        config = ForestConfig(tree_count=10)
+        BaggedForest.fit(X, y, config, seed=17)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            BaggedForest.fit(X, y, config, seed=17)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.55e6
 
 
 class TestSerialization:
