@@ -98,12 +98,12 @@ class AnalystModel:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256()
-        digest.update(training_data.points.tobytes())
-        digest.update(training_data.labels.tobytes())
-        digest.update(repr(asdict(self.forest_config)).encode())
-        digest.update(str(self.seed).encode())
-        self._fingerprint = digest.hexdigest()[:16]
+            digest = hashlib.sha256()
+            digest.update(training_data.points.tobytes())
+            digest.update(training_data.labels.tobytes())
+            digest.update(repr(asdict(self.forest_config)).encode())
+            digest.update(str(self.seed).encode())
+            self._fingerprint = digest.hexdigest()[:16]
         self._answers: dict[tuple[int, ...], dict[bytes, float]] = {}
         self._held: dict[bytes, None] = {}
         self._lock = threading.RLock()

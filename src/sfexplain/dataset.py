@@ -167,6 +167,8 @@ def _read_csv(path: Path, label_column: str) -> tuple[np.ndarray, list[str], tup
             raise EmptyFile(f"{path}: no data rows")
         if label_column not in header:
             raise MissingColumn(f"{path}: no column named {label_column!r} (header: {header})")
+        if header.count(label_column) > 1:
+            raise ValueError(f"{path}: more than one column named {label_column!r} (header: {header})")
         label_idx = header.index(label_column)
         features = [(i, h) for i, h in enumerate(header) if i != label_idx]
         values = array("d")
@@ -211,8 +213,12 @@ def load_mother_csv(path: str | Path, label_column: str) -> MotherSet:
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset as CSV with a label column of anomaly/normal.
 
-    Floats use repr, so a reload is bit-identical.
+    Floats use repr, so a reload is bit-identical. A feature named "label"
+    would make a header no loader accepts, so it is rejected before the file
+    is opened.
     """
+    if "label" in dataset.feature_names:
+        raise ValueError(f"{path}: a feature is named 'label', the name of the label column")
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + ["label"])

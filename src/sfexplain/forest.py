@@ -19,8 +19,8 @@ int32 unless a forest holds 2**31 samples or more. A fitted forest is three
 flat node arrays, 16 bytes per node:
 a feature, a value (the threshold at an internal node, the leaf probability
 at a leaf) and a left child whose sibling is the next node. Leaves point to
-themselves, so prediction evaluates every node's test at once and then
-follows the child pointers by repeated squaring.
+themselves, so prediction walks every (row, tree) pair down one level per
+step, all pairs at once, until no pair stands at an internal node.
 
 Leaf probabilities are Laplace smoothed, (count + 1) / (total + 2), which
 keeps predictions strictly inside (0, 1).
@@ -66,9 +66,9 @@ class ForestConfig:
 
 
 NODE_ARRAYS = ("feature", "value", "left")
-# prob_normal_many takes rows in chunks of at most this many (row, node)
-# cells, which bounds its per-node temporaries (about 25 bytes a cell).
-PREDICT_CELLS = 1 << 16
+# prob_normal_many walks rows in chunks of at most this many (row, tree)
+# pairs, which bounds its per-pair temporaries (about 25 bytes a pair).
+PREDICT_CELLS = 1 << 14
 _INT32 = np.iinfo(np.int32)
 
 
@@ -342,13 +342,6 @@ class BaggedForest:
         if not ((leaf_values > 0.0) & (leaf_values < 1.0)).all():
             raise MalformedForest("leaf probabilities must lie in (0, 1)")
         self.roots = np.flatnonzero(parents == 0)
-        # Squarings of the one-step map that take every root to its leaf:
-        # enough for 2**squarings >= the deepest leaf's depth.
-        frontier, depth = self.roots, 0
-        while len(frontier := frontier[internal[frontier]]):
-            frontier = np.concatenate([self.left[frontier], self.left[frontier] + 1])
-            depth += 1
-        self._squarings = math.ceil(math.log2(depth)) if depth else 0
 
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> "BaggedForest":
@@ -400,19 +393,23 @@ class BaggedForest:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
-        rows = max(1, PREDICT_CELLS // len(self.feature))
+        rows = max(1, PREDICT_CELLS // len(self.roots))
         if len(X) > rows:
             return np.concatenate([self.prob_normal_many(X[i : i + rows]) for i in range(0, len(X), rows)])
-        offset = np.arange(0, len(X) * len(self.feature), len(self.feature))[:, None]
-        # step[i] is the node one test below node i, per row: left, or its
-        # sibling left + 1 unless the value is below the threshold (a NaN
-        # goes right). Each squaring doubles the number of steps it takes.
-        goes_right = (self.feature >= 0) & ~(X.take(self.feature, axis=1) < self.value)
-        step = (self.left + goes_right + offset).ravel()
-        for _ in range(self._squarings):
-            step = step[step]
-        leaf = step[self.roots + offset] - offset
-        return self.value[leaf].sum(axis=1) / len(self.roots)
+        # Every (row, tree) pair starts at the tree's root and moves down one
+        # level per step, to left or, unless the row's value is below the
+        # threshold (a NaN goes right), to its sibling left + 1. Leaves point
+        # to themselves and children come after their parents, so it ends.
+        values = X.ravel()
+        first = np.arange(0, values.size, self.n_features)[:, None]  # each row's offset in values
+        node = np.tile(self.roots, (len(X), 1))
+        while True:
+            feature = self.feature.take(node)
+            internal = feature >= 0
+            if not internal.any():
+                return self.value.take(node).sum(axis=1) / len(self.roots)
+            goes_right = internal & ~(values.take(first + feature) < self.value.take(node))
+            node = self.left.take(node) + goes_right
 
     # -- serialization ------------------------------------------------------
 

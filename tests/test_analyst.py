@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import sfexplain.analyst
 from conftest import make_labeled_dataset, make_single_deviant_dataset, save_five_array_forest
 from sfexplain.analyst import (
     AnalystModel,
@@ -234,6 +235,16 @@ class TestCache:
             with pytest.raises(SingleClassTrainingData):
                 analyst.classifier_for((0,))
         assert analyst.trained_count == 0
+
+    def test_training_data_is_hashed_only_for_a_disk_cache(self, monkeypatch):
+        # The hash names cache files; without a cache directory nothing reads it.
+        def no_hash(*args):
+            raise AssertionError("training data hashed without a cache directory")
+
+        monkeypatch.setattr(sfexplain.analyst.hashlib, "sha256", no_hash)
+        analyst = small_analyst()
+        analyst.prob_normal(np.zeros(3), (0, 1))
+        assert analyst.trained_count == 1
 
     def test_disk_cache_skips_retraining(self, tmp_path):
         first = small_analyst(cache_dir=tmp_path)

@@ -513,6 +513,25 @@ class TestBenchgen:
         assert err == ["error: no usable remainder rows left for --rest-out"]
         assert not rest.exists()
 
+    def test_feature_named_label_fails_and_writes_nothing(self, tmp_path, capsys):
+        # A mother CSV whose feature "label" clashes with the benchmark's label column.
+        rows = ["label,x,class"]
+        for i, (u, v) in enumerate(np.random.default_rng(12).normal(size=(200, 2))):
+            rows.append(f"{float(u)!r},{float(v)!r},{'rare' if i % 10 == 0 else 'common'}")
+        mother = tmp_path / "mother.csv"
+        mother.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "bench.csv"
+        code = main(
+            [
+                "benchgen", str(mother), "-o", str(out), "--label-column", "class",
+                "--anomaly-class", "rare", "--fraction", "0.05", "--size", "100", "--seed", "1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out}: a feature is named 'label', the name of the label column"]
+        assert not out.exists()
+
 
 class TestRunConfig:
     def test_unknown_top_level_key_rejected(self, tmp_path, capsys):

@@ -104,6 +104,11 @@ class TestLoadCsv:
             ('a,b,class\n1,"2\n",0\n1,"x\ny",0\n', NonNumericCell, "row 3, column 'b': 'x\\ny' is not a finite number"),
             ("a,b,class\r\n1,2,0\r\n\r\n3,z,4\r\n", NonNumericCell, "row 4, column 'b': 'z' is not a finite number"),
             ("class\n1\n2\n", ValueError, "points must be a nonempty 2D matrix, got shape (2, 0)"),
+            (
+                "class,a,class\n1,2,3\n",
+                ValueError,
+                "{path}: more than one column named 'class' (header: ['class', 'a', 'class'])",
+            ),
         ],
     )
     @pytest.mark.parametrize("loader", ["load_csv", "load_mother_csv"])
@@ -124,7 +129,7 @@ class TestLoadCsv:
             ("a,b,class\r\n1,2,0\r\n3,4,4\r\n", [[1, 2], [3, 4]], ("0", "4"), ("a", "b")),
             (" a , b , class \n1, 2 , 4 \n3,4,  0\n 5 ,6,4\n", [[1, 2], [3, 4], [5, 6]], ("4", "0", "4"), ("a", "b")),
             ('a,b,class\n1,2,"no\nrmal"\n\n3,"4\n",4\n', [[1, 2], [3, 4]], ("no\nrmal", "4"), ("a", "b")),
-            ("class,a,class\n1,2,3\n", [[2, 3]], ("1",), ("a", "class")),
+            ("label,a,class\n1,2,3\n", [[1, 2]], ("3",), ("label", "a")),
             ("a,class\n1_000,0\n", [[1000]], ("0",), ("a",)),
         ],
     )
@@ -155,6 +160,14 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert (ds.points == points).all()
         assert peak <= 3 * ds.points.nbytes
+
+    def test_feature_named_label_is_not_written(self, tmp_path):
+        # Its header would name the label column twice, which no loader reads.
+        ds = Dataset(points=np.eye(3), labels=[False, False, True], feature_names=("label", "x", "y"))
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="a feature is named 'label'"):
+            save_csv(ds, path)
+        assert not path.exists()
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)

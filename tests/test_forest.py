@@ -52,6 +52,22 @@ def valid_cuts(X, y, min_leaf):
     return cuts
 
 
+def traced_peak(call):
+    """The peak of numpy's buffers that tracemalloc sees during call(), above
+    what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 # A hundred trees, six deep: one depth holds up to 248 split parents.
 WIDE_CONFIG = ForestConfig(tree_count=100, max_depth=6, min_leaf=2)
 
@@ -298,9 +314,9 @@ class TestGrower:
         probe = rng.normal(size=(40, 4))
         batch = forest.prob_normal_many(probe)
         assert batch.tolist() == [forest.prob_normal(x) for x in probe]
-        # In chunks of fewer cells than 40 rows times the forest's nodes.
-        monkeypatch.setattr(sfexplain.forest, "PREDICT_CELLS", 1000)
-        assert len(probe) * len(forest.feature) > 2 * 1000
+        # In chunks of fewer (row, tree) pairs than 40 rows times 13 trees.
+        monkeypatch.setattr(sfexplain.forest, "PREDICT_CELLS", 200)
+        assert len(probe) * len(forest.roots) > 2 * 200
         assert forest.prob_normal_many(probe).tolist() == batch.tolist()
 
     def test_rejects_node_arrays_that_are_not_a_forest(self):
@@ -469,18 +485,7 @@ class TestGrower:
         # with int32 sample ids and 8- or 16-bit child numbers.
         X, y = pinned_data("bench")
         BaggedForest.fit(X, y, ForestConfig(), seed=17)  # first calls may cache
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            BaggedForest.fit(X, y, ForestConfig(), seed=17)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 6e6
+        assert traced_peak(lambda: BaggedForest.fit(X, y, ForestConfig(), seed=17)) < 6e6
 
     def test_a_bench_size_fit_stays_within_its_memory_bound(self):
         # The benchmark's 10-tree fit on the same data: its traced peak was
@@ -488,18 +493,19 @@ class TestGrower:
         X, y = pinned_data("bench")
         config = ForestConfig(tree_count=10)
         BaggedForest.fit(X, y, config, seed=17)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            BaggedForest.fit(X, y, config, seed=17)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 0.55e6
+        assert traced_peak(lambda: BaggedForest.fit(X, y, config, seed=17)) < 0.55e6
+
+    @pytest.mark.parametrize("tree_count, bound", [(10, 1.29e6), (100, 1.34e6)])
+    def test_a_large_prediction_stays_within_its_memory_bound(self, tree_count, bound):
+        # The chunks bound the walk's temporaries: on 20,000 rows the traced
+        # peak was 1.28 MB at 10 trees and 1.33 MB at 100 when prediction
+        # squared a (row, node) step table, and is 0.72 and 0.73 MB walking
+        # (row, tree) pairs. An unbounded walk peaked at 68 MB at 100 trees.
+        X, y = pinned_data("bench")
+        forest = BaggedForest.fit(X, y, ForestConfig(tree_count=tree_count), seed=17)
+        rows = np.random.default_rng(5).normal(size=(20_000, 8))
+        forest.prob_normal_many(rows[:10])  # first calls may cache
+        assert traced_peak(lambda: forest.prob_normal_many(rows)) <= bound
 
 
 class TestSerialization:
